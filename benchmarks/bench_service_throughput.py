@@ -32,6 +32,7 @@ import time
 
 import numpy as np
 
+from repro.api import ClassifierConfig, TrackerPool
 from repro.cluster import start_cluster_in_thread
 from repro.service import PhaseServiceClient, start_in_thread
 
@@ -243,23 +244,22 @@ COALESCE_CONNECTIONS = 8      # pipelined NDJSON loader connections
 COALESCE_OBSERVES = 6         # observes per session
 COALESCE_RECORDS = 40         # records per observe
 COALESCE_INTERVAL = 4_000     # ~1 boundary per observe: classify-bound
-COALESCE_FLOOR = 2.0          # acceptance: fused rounds >= 2x
+COALESCE_FLOOR = 2.0          # acceptance: wire rounds >= 2x in-process
 
 
-def _coalesce_plan(connection_index, names):
-    """One loader connection's pipelined request bytes: open every
-    session, then observes round-robin across them (so consecutive
-    requests hit different sessions — the coalescing-friendly *and*
-    per-session-path-worst interleave a real fleet produces), then
-    close. Returns ``(payload, request_count)``."""
+def _coalesce_requests(connection_index, names):
+    """One loader connection's request list: open every session, then
+    observes round-robin across them (so consecutive requests hit
+    different sessions — the interleave a real fleet produces), then
+    close."""
     rng = np.random.default_rng(100 + connection_index)
-    lines = []
+    requests = []
     next_id = 1
     for name in names:
-        lines.append(json.dumps({
+        requests.append({
             "op": "open", "id": next_id, "session": name,
             "interval_instructions": COALESCE_INTERVAL,
-        }))
+        })
         next_id += 1
     for _ in range(COALESCE_OBSERVES):
         for name in names:
@@ -268,28 +268,26 @@ def _coalesce_plan(connection_index, names):
                 + rng.integers(0, 64, size=COALESCE_RECORDS) * 4
             ).tolist()
             counts = rng.integers(50, 150, size=COALESCE_RECORDS).tolist()
-            lines.append(json.dumps({
+            requests.append({
                 "op": "observe", "id": next_id, "session": name,
                 "pcs": pcs, "counts": counts, "cpi": 1.2,
-            }))
+            })
             next_id += 1
     for name in names:
-        lines.append(json.dumps({
+        requests.append({
             "op": "close", "id": next_id, "session": name,
-        }))
+        })
         next_id += 1
-    return ("\n".join(lines) + "\n").encode(), next_id - 1
+    return requests
 
 
-def _ndjson_rate(coalesce, sessions=COALESCE_SESSIONS,
+def _fleet_plans(sessions=COALESCE_SESSIONS,
                  connections=COALESCE_CONNECTIONS):
-    """Single-process NDJSON ingest records/s at ``sessions``
-    concurrent sessions, pool-backed, coalescing on or off. Writer
-    threads keep every connection's pipeline full while the main
-    thread drains responses."""
+    """Per-connection request lists for ``sessions`` concurrent
+    sessions split over ``connections``; returns ``(plans, records)``."""
     per_connection = sessions // connections
     plans = [
-        _coalesce_plan(index, [
+        _coalesce_requests(index, [
             f"c{index}-s{slot}" for slot in range(per_connection)
         ])
         for index in range(connections)
@@ -298,9 +296,23 @@ def _ndjson_rate(coalesce, sessions=COALESCE_SESSIONS,
         connections * per_connection
         * COALESCE_OBSERVES * COALESCE_RECORDS
     )
+    return plans, records
+
+
+def _ndjson_rate(sessions=COALESCE_SESSIONS,
+                 connections=COALESCE_CONNECTIONS):
+    """Single-process NDJSON ingest records/s at ``sessions``
+    concurrent pool-backed sessions, through the service's coalesced
+    rounds. Writer threads keep every connection's pipeline full while
+    the main thread drains responses."""
+    plans, records = _fleet_plans(sessions, connections)
+    payloads = [
+        "".join(json.dumps(request) + "\n" for request in plan).encode()
+        for plan in plans
+    ]
     with start_in_thread(
         max_sessions=sessions + 8, pool_slots=sessions + 8,
-        max_connections=connections + 8, coalesce=coalesce,
+        max_connections=connections + 8,
     ) as handle:
         socks = [
             socket.create_connection(
@@ -311,14 +323,14 @@ def _ndjson_rate(coalesce, sessions=COALESCE_SESSIONS,
         start = time.perf_counter()
         writers = [
             threading.Thread(target=sock.sendall, args=(payload,))
-            for sock, (payload, _) in zip(socks, plans)
+            for sock, payload in zip(socks, payloads)
         ]
         for writer in writers:
             writer.start()
-        for sock, (_, expected) in zip(socks, plans):
+        for sock, plan in zip(socks, plans):
             reader = sock.makefile("rb")
             answered = 0
-            while answered < expected:
+            while answered < len(plan):
                 line = reader.readline()
                 assert line, "connection closed mid-benchmark"
                 # Acks serialize as {"id":...}; pushes as {"push":...}.
@@ -333,57 +345,83 @@ def _ndjson_rate(coalesce, sessions=COALESCE_SESSIONS,
     return records / elapsed
 
 
+def _per_request_rate(sessions=COALESCE_SESSIONS,
+                      connections=COALESCE_CONNECTIONS):
+    """The reference: the same plan's observes in process, one
+    ``PooledTracker.observe_batch`` call per request, in plan order.
+    No wire, parsing or scheduling cost is paid, so this rate is an
+    upper bound on any per-request service path."""
+    plans, records = _fleet_plans(sessions, connections)
+    pool = TrackerPool(
+        capacity=sessions + 8, config=ClassifierConfig.paper_default()
+    )
+    trackers = {}
+    observes = []
+    for plan in plans:
+        for request in plan:
+            if request["op"] == "open":
+                trackers[request["session"]] = pool.acquire(
+                    interval_instructions=request["interval_instructions"]
+                )
+            elif request["op"] == "observe":
+                observes.append(request)
+    start = time.perf_counter()
+    for request in observes:
+        trackers[request["session"]].observe_batch(
+            request["pcs"], request["counts"], cpi=request["cpi"]
+        )
+    return records / (time.perf_counter() - start)
+
+
 def test_coalesced_ingest_is_2x_per_session_path():
-    """The tentpole acceptance bench: at >= 1k concurrent pool-backed
-    sessions, fused cross-session rounds must at least double the
-    per-session NDJSON ingest rate."""
-    per_session = _ndjson_rate(coalesce=False)
-    coalesced = _ndjson_rate(coalesce=True)
-    speedup = coalesced / per_session
+    """The coalescing acceptance bench: at >= 1k concurrent pool-backed
+    sessions, fused cross-session rounds over the wire must at least
+    double an in-process per-request ``observe_batch`` loop."""
+    per_request = _per_request_rate()
+    coalesced = _ndjson_rate()
+    speedup = coalesced / per_request
     print(
-        f"\n{COALESCE_SESSIONS} sessions: per-session "
-        f"{per_session / 1e3:.0f} krec/s, coalesced "
+        f"\n{COALESCE_SESSIONS} sessions: in-process per-request "
+        f"{per_request / 1e3:.0f} krec/s, coalesced wire "
         f"{coalesced / 1e3:.0f} krec/s, speedup {speedup:.1f}x"
     )
     assert speedup >= COALESCE_FLOOR, (
-        f"coalesced ingest only {speedup:.1f}x the per-session path; "
-        f"the acceptance floor is {COALESCE_FLOOR}x"
+        f"coalesced ingest only {speedup:.1f}x the in-process "
+        f"per-request path; the acceptance floor is {COALESCE_FLOOR}x"
     )
 
 
 def _coalesce_main():
-    """``--coalesce``: measure coalesced vs per-session single-process
-    NDJSON ingest and append the row to benchmarks/TRAJECTORY.md."""
-    best = {"per-session": 0.0, "coalesced": 0.0}
+    """``--coalesce``: measure coalesced wire ingest vs the in-process
+    per-request loop and append the row to benchmarks/TRAJECTORY.md."""
+    best = {"per-request": 0.0, "coalesced": 0.0}
     for _ in range(3):
-        best["per-session"] = max(
-            best["per-session"], _ndjson_rate(coalesce=False)
+        best["per-request"] = max(
+            best["per-request"], _per_request_rate()
         )
-        best["coalesced"] = max(
-            best["coalesced"], _ndjson_rate(coalesce=True)
-        )
-    speedup = best["coalesced"] / best["per-session"]
+        best["coalesced"] = max(best["coalesced"], _ndjson_rate())
+    speedup = best["coalesced"] / best["per-request"]
     line = (
         f"| {COALESCE_SESSIONS:,} | {COALESCE_CONNECTIONS} "
-        f"| {best['coalesced']:,.0f} | {best['per-session']:,.0f} "
+        f"| {best['coalesced']:,.0f} | {best['per-request']:,.0f} "
         f"| {speedup:.1f}x |"
     )
     print(
         f"{COALESCE_SESSIONS} sessions over {COALESCE_CONNECTIONS} "
         f"connections: coalesced {best['coalesced'] / 1e3:.0f} krec/s, "
-        f"per-session {best['per-session'] / 1e3:.0f} krec/s "
+        f"in-process per-request {best['per-request'] / 1e3:.0f} krec/s "
         f"({speedup:.1f}x)"
     )
     trajectory = os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "TRAJECTORY.md"
     )
     header = (
-        "\n## bench_service_throughput: coalesced ingest "
-        "(single-process NDJSON rec/s, best of 3, pool-backed, "
+        "\n## bench_service_throughput: coalesced ingest vs in-process "
+        "per-request observe_batch (rec/s, best of 3, pool-backed, "
         f"{COALESCE_OBSERVES} observes x {COALESCE_RECORDS} records "
         "per session)\n\n"
-        "| sessions | connections | coalesced rec/s | "
-        "per-session rec/s | speedup |\n"
+        "| sessions | connections | coalesced wire rec/s | "
+        "in-process per-request rec/s | speedup |\n"
         "|---|---|---|---|---|\n"
     )
     with open(trajectory, "r+", encoding="utf-8") as handle:
@@ -415,7 +453,7 @@ def main(argv=None):
                         help="branches per session (default "
                         f"{CLUSTER_BRANCHES})")
     parser.add_argument("--coalesce", action="store_true",
-                        help="run the coalesced-vs-per-session ingest "
+                        help="run the coalesced-vs-per-request ingest "
                         "comparison instead and append it to "
                         "benchmarks/TRAJECTORY.md")
     args = parser.parse_args(argv)

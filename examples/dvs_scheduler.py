@@ -87,11 +87,11 @@ def predicted_policy(phase_ids) -> PolicyResult:
             current_run += 1
         else:
             # Phase change: ask the predictor (it has just scored the
-            # completed run inside observe) for the incoming class.
+            # completed run inside advance) for the incoming class.
             if in_low_power:
                 low_power += current_run
             current_run = 1
-        predictor.observe(phase_id)
+        predictor.advance(phase_id)
         if previous is not None and phase_id != previous:
             predicted = predictor.outstanding_prediction
             should = predicted is not None and predicted >= MIN_CLASS

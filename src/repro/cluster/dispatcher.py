@@ -255,8 +255,6 @@ class ClusterDispatcher:
         http_port: Optional[int] = None,
         worker_max_sessions: int = 1024,
         pool_slots: Optional[int] = None,
-        coalesce: bool = False,
-        coalesce_window: float = 0.0,
         sync: str = "batch",
         checkpoint_interval: float = 30.0,
         idle_ttl: Optional[float] = None,
@@ -296,8 +294,6 @@ class ClusterDispatcher:
             checkpoint_interval=checkpoint_interval,
             max_sessions=worker_max_sessions,
             pool_slots=pool_slots,
-            coalesce=coalesce,
-            coalesce_window=coalesce_window,
             idle_ttl=idle_ttl,
             queue_size=queue_size,
             max_connections=max_connections + 8,

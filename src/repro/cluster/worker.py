@@ -60,10 +60,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="session table capacity")
     parser.add_argument("--pool-slots", type=int, default=None,
                         help="SoA tracker pool capacity (default scalar)")
-    parser.add_argument("--coalesce", action="store_true",
-                        help="micro-batch observes into fused pool rounds")
-    parser.add_argument("--coalesce-window", type=float, default=0.0,
-                        help="round gather delay in seconds (with --coalesce)")
     parser.add_argument("--queue-size", type=int, default=32,
                         help="per-connection ingest queue depth")
     parser.add_argument("--max-connections", type=int, default=1024,
@@ -89,8 +85,6 @@ def build_service(args: argparse.Namespace) -> PhaseService:
         checkpoint_interval=args.checkpoint_interval,
         sync=args.sync,
         pool_slots=args.pool_slots,
-        coalesce=args.coalesce,
-        coalesce_window=args.coalesce_window,
     )
 
 

@@ -316,16 +316,10 @@ def _serve_main(argv: List[str]) -> int:
         "back to scalar trackers (default: no pool)",
     )
     parser.add_argument(
-        "--coalesce", action=argparse.BooleanOptionalAction,
-        default=False,
-        help="micro-batch queued observes across connections into "
-        "fused SoA pool rounds (most effective with --pool-slots); "
-        "--no-coalesce is the explicit per-session reference path",
-    )
-    parser.add_argument(
-        "--coalesce-window", type=float, default=0.0, metavar="SECONDS",
-        help="extra gather delay per coalescing round (default 0: "
-        "batch only what is already queued, adding no latency)",
+        "--coalesce", action="store_true",
+        help="accepted for compatibility and ignored: observes always "
+        "run in coalesced rounds (fused SoA pool passes with "
+        "--pool-slots)",
     )
     parser.add_argument(
         "--max-connections", type=int, default=64,
@@ -414,8 +408,6 @@ def _serve_main(argv: List[str]) -> int:
         port=args.port,
         max_sessions=args.max_sessions,
         pool_slots=args.pool_slots,
-        coalesce=args.coalesce,
-        coalesce_window=args.coalesce_window,
         idle_ttl=args.idle_ttl,
         evict_lru=not args.no_evict,
         max_connections=args.max_connections,
@@ -513,8 +505,6 @@ def _serve_cluster(args) -> int:
         http_port=args.http_port,
         worker_max_sessions=args.max_sessions,
         pool_slots=args.pool_slots,
-        coalesce=args.coalesce,
-        coalesce_window=args.coalesce_window,
         sync=args.sync,
         checkpoint_interval=args.checkpoint_interval,
         idle_ttl=args.idle_ttl,

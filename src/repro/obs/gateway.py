@@ -346,9 +346,9 @@ class HttpGateway:
         cpi = body.get("cpi", 1.0)
         if not isinstance(cpi, (int, float)) or isinstance(cpi, bool):
             raise HttpError(400, "'cpi' must be a number")
-        # Observes join the service's coalescing rounds (when enabled)
-        # so the gateway's ingest shares the fused pool pass with the
-        # NDJSON wire path.
+        # Observes join the service's coalescing rounds, so the
+        # gateway's ingest shares the fused pool pass with the NDJSON
+        # wire path.
         result, reports = self._unwrap(await self.service.execute_observe(
             protocol.ObserveRequest(
                 id=0, session=session, pcs=pcs, counts=counts,

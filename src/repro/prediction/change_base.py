@@ -24,7 +24,7 @@ from typing import Hashable, List, Optional, Tuple
 from repro.errors import ConfigurationError, PredictionError
 from repro.prediction.assoc_table import AssociativeTable, tuple_key
 from repro.prediction.counters import ConfidenceCounter
-from repro.prediction.protocol import PhaseObservation, _deprecated_observe
+from repro.prediction.protocol import PhaseObservation
 
 ENTRY_KINDS = ("single", "last4", "top1", "top4")
 
@@ -134,7 +134,7 @@ class ChangePredictorBase:
     Subclasses define the table key via :meth:`change_key` (used when a
     run has just completed) and :meth:`running_key` (used mid-run for
     next-interval prediction). The stream of classified phase IDs is
-    fed through :meth:`observe`.
+    fed through :meth:`advance`.
 
     Parameters
     ----------
@@ -232,15 +232,6 @@ class ChangePredictorBase:
             phase_id=phase_id, phase_changed=True, completed_run=completed
         )
 
-    def observe(self, phase_id: int) -> Optional[Tuple[int, int]]:
-        """Deprecated legacy spelling of :meth:`advance`.
-
-        Returns the completed (phase, run length) pair on a phase
-        change, else ``None`` — the old contract. Use :meth:`advance`.
-        """
-        _deprecated_observe(type(self).__name__)
-        return self.advance(phase_id).completed_run
-
     # -- prediction -----------------------------------------------------------
 
     def _lookup(self, key: Optional[Hashable]) -> ChangePrediction:
@@ -259,7 +250,7 @@ class ChangePredictorBase:
     def predict_change(self) -> ChangePrediction:
         """Predict the outcome of the change ending the completed run.
 
-        Valid immediately after :meth:`observe` returned a completed
+        Valid immediately after :meth:`advance` reported a completed
         run — i.e. at a phase-change point, keyed by the completed run.
         """
         return self._lookup(self.change_key())

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.errors import PredictionError
 from repro.prediction.counters import ConfidenceCounter
-from repro.prediction.protocol import PhaseObservation, _deprecated_observe
+from repro.prediction.protocol import PhaseObservation
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,6 @@ class LastValuePredictor:
             self._counter_for(self._current).record(correct)
         self._current = phase_id
         return PhaseObservation(phase_id=phase_id, phase_changed=changed)
-
-    def observe(self, phase_id: int) -> None:
-        """Deprecated legacy spelling of :meth:`advance` (returned
-        nothing). Use :meth:`advance`."""
-        _deprecated_observe(type(self).__name__)
-        self.advance(phase_id)
 
     @property
     def current_phase(self) -> Optional[int]:

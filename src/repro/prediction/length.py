@@ -21,7 +21,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.prediction.assoc_table import AssociativeTable, tuple_key
-from repro.prediction.protocol import PhaseObservation, _deprecated_observe
+from repro.prediction.protocol import PhaseObservation
 
 #: Inclusive lower bounds of the four run-length classes (in intervals).
 LENGTH_CLASS_BOUNDS: Tuple[int, ...] = (1, 16, 128, 1024)
@@ -120,7 +120,7 @@ class LengthPredictionStats:
 class PhaseLengthPredictor:
     """RLE-2-indexed run-length-class predictor with hysteresis.
 
-    Drive with :meth:`observe` per classified interval; statistics
+    Drive with :meth:`advance` per classified interval; statistics
     accumulate in :attr:`stats`. The predictor predicts, at each phase
     change, the length class of the phase being *entered*; the
     prediction is scored once that phase's run completes.
@@ -208,12 +208,6 @@ class PhaseLengthPredictor:
         return PhaseObservation(
             phase_id=phase_id, phase_changed=True, completed_run=completed
         )
-
-    def observe(self, phase_id: int) -> None:
-        """Deprecated legacy spelling of :meth:`advance` (returned
-        nothing). Use :meth:`advance`."""
-        _deprecated_observe(type(self).__name__)
-        self.advance(phase_id)
 
     # -- lifecycle / snapshot hooks -------------------------------------------
 

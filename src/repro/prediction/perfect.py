@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.prediction.protocol import PhaseObservation, _deprecated_observe
+from repro.prediction.protocol import PhaseObservation
 
 
 class PerfectMarkovPredictor:
@@ -61,15 +61,6 @@ class PerfectMarkovPredictor:
         return PhaseObservation(
             phase_id=phase_id, phase_changed=True, oracle_correct=correct
         )
-
-    def observe(self, phase_id: int) -> Optional[bool]:
-        """Deprecated legacy spelling of :meth:`advance`.
-
-        Returns ``None`` on stable intervals and the oracle verdict on
-        a phase change — the old contract. Use :meth:`advance`.
-        """
-        _deprecated_observe(type(self).__name__)
-        return self.advance(phase_id).oracle_correct
 
     def reset(self) -> None:
         """Forget all recorded transitions and history, keeping the

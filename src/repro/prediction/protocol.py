@@ -20,9 +20,6 @@ contracts carried:
 - ``oracle_correct`` — the perfect predictors' verdict (``None`` for
   realizable predictors, and on stable intervals).
 
-The old per-family ``observe()`` methods survive as thin deprecation
-shims delegating to ``advance()``; new code should not call them.
-
 :class:`~repro.prediction.composite.CompositePhasePredictor` is a
 *driver* of this protocol, not an implementation: it consumes
 ``advance()`` observations from its components and exposes the richer
@@ -79,15 +76,3 @@ class PhasePredictor(Protocol):
     def reset(self) -> None:
         """Forget all history, keeping configuration."""
         ...  # pragma: no cover - protocol declaration
-
-
-def _deprecated_observe(name: str) -> None:
-    """Emit the shared deprecation warning for legacy ``observe()``."""
-    import warnings
-
-    warnings.warn(
-        f"{name}.observe() is deprecated; use advance(), which returns "
-        "a uniform PhaseObservation for every predictor family",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -18,13 +18,13 @@ evaluate_change_predictor` drives it unchanged.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
 from repro.errors import ConfigurationError
 from repro.prediction.change_base import ChangePrediction, ChangePredictorBase
 from repro.prediction.counters import SaturatingCounter
 from repro.prediction.markov import MarkovChangePredictor
-from repro.prediction.protocol import PhaseObservation, _deprecated_observe
+from repro.prediction.protocol import PhaseObservation
 from repro.prediction.rle import RLEChangePredictor
 
 
@@ -67,11 +67,6 @@ class TournamentChangePredictor:
         # Both components see the same stream, so completions agree.
         assert observation.phase_changed == observation_second.phase_changed
         return observation
-
-    def observe(self, phase_id: int) -> Optional[Tuple[int, int]]:
-        """Deprecated legacy spelling of :meth:`advance`."""
-        _deprecated_observe(type(self).__name__)
-        return self.advance(phase_id).completed_run
 
     def reset(self) -> None:
         """Forget both components' state and recentre the selector."""

@@ -1,28 +1,26 @@
 """Cross-session ingest coalescing: the micro-batching scheduler.
 
-The per-connection worker loops in :mod:`repro.service.server` execute
-requests one at a time, so with a structure-of-arrays
-:class:`~repro.core.pool.TrackerPool` behind the registry every observe
-still pays a full single-slot numpy pass — the fused multi-session
-batching the pool exists for never reaches the wire path.
+Every observe the service executes goes through here. With a
+structure-of-arrays :class:`~repro.core.pool.TrackerPool` behind the
+registry, an observe executed alone would pay a full single-slot numpy
+pass; rounds let the pool batch many sessions per pass.
 
-The :class:`IngestCoalescer` fixes that. Workers *submit* observe
-requests here instead of executing them inline and await a per-request
-future. A single scheduler task collects everything submitted across
-all connections (plus the HTTP gateway's observe-batch endpoint) into
-one *round*, hands the round to the service's round executor — which
-groups the pool-backed sessions' record slices into one
+The per-connection workers in :mod:`repro.service.server` *submit*
+observe requests to the :class:`IngestCoalescer` and await a
+per-request future. A single scheduler task collects everything
+submitted across all connections (plus the HTTP gateway's
+observe-batch endpoint) into one *round*, hands the round to the
+service's round executor — which groups the pool-backed sessions'
+record slices into one
 :meth:`~repro.core.pool.TrackerPool.observe_fanin` pass and journals
 the round before acknowledging any of it — and resolves each future
 with that request's wire payloads (interval pushes first, ack last).
 
-Scheduling is self-clocking: with ``window=0`` the scheduler yields one
-event-loop tick after the first submission so every currently-runnable
-worker can join the round, then runs it synchronously. While a round
-executes no worker runs (one thread), so their next requests pile up
-into the next round — batch size adapts to load with no configured
-delay. A positive ``window`` adds a fixed gather delay for deployments
-that prefer larger rounds over per-request latency.
+Scheduling is self-clocking: the scheduler yields one event-loop tick
+after the first submission so every currently-runnable worker can join
+the round, then runs it synchronously. While a round executes no worker
+runs (one thread), so their next requests pile up into the next round —
+batch size adapts to load with no configured delay.
 
 Ordering and durability invariants live with the round executor
 (:meth:`~repro.service.server.PhaseService._coalesce_round`); this
@@ -68,19 +66,10 @@ class IngestCoalescer:
         :class:`Submission` objects in submission order and must
         resolve every one of them (the service's
         ``_coalesce_round``).
-    window:
-        Gather delay in seconds. ``0`` (the default) coalesces only
-        what is already runnable — one event-loop yield between the
-        first submission and the round, adding no configured latency.
     """
 
-    def __init__(
-        self,
-        run_round: Callable[[List[Submission]], None],
-        window: float = 0.0,
-    ) -> None:
+    def __init__(self, run_round: Callable[[List[Submission]], None]) -> None:
         self._run_round = run_round
-        self.window = window
         self._pending: List[Submission] = []
         self._event: Optional[asyncio.Event] = None
         self._task: Optional["asyncio.Task"] = None
@@ -156,12 +145,9 @@ class IngestCoalescer:
         assert self._event is not None
         while True:
             await self._event.wait()
-            if self.window > 0:
-                await asyncio.sleep(self.window)
-            else:
-                # One tick: every worker that is already runnable gets
-                # to submit before the round closes.
-                await asyncio.sleep(0)
+            # One tick: every worker that is already runnable gets to
+            # submit before the round closes.
+            await asyncio.sleep(0)
             self._event.clear()
             pending, self._pending = self._pending, []
             if not pending:
@@ -174,7 +160,6 @@ class IngestCoalescer:
     def stats(self) -> dict:
         """Scheduler-side counters for diagnostics()."""
         return {
-            "window": self.window,
             "rounds": self.rounds,
             "requests": self.requests,
             "max_round_size": self.max_round_size,

@@ -13,6 +13,9 @@ connection gets two tasks:
   and writes interval pushes followed by the matching response. All
   writes happen on the worker, so message order per connection is the
   protocol order: pushes for an observe precede that observe's ack.
+  Observes execute in the cross-connection rounds of
+  :class:`~repro.service.coalesce.IngestCoalescer`; every other request
+  executes on the worker.
 
 Admission control: the session cap refuses/evicts at ``open`` (see the
 registry), a connection cap closes surplus sockets at accept, and during
@@ -40,7 +43,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Awaitable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import (
     ClusterError,
@@ -50,6 +53,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.service import protocol
+from repro.service.coalesce import IngestCoalescer
 from repro.service.session import Session, SessionRegistry
 from repro.service.snapshot import snapshot_tracker
 
@@ -123,17 +127,6 @@ class PhaseService:
         (the structure-of-arrays fast path; the pool grows on demand).
         Sessions opened with non-default configuration overrides fall
         back to scalar trackers transparently.
-    coalesce, coalesce_window:
-        Enable cross-session ingest coalescing: queued observe requests
-        across all connections (and the HTTP gateway) are drained per
-        scheduling round and the pool-backed sessions' records run
-        through one fused :meth:`TrackerPool.observe_fanin` pass, with
-        reports and acks fanned back per connection in exact protocol
-        order (see :mod:`repro.service.coalesce` and DESIGN.md §11).
-        ``coalesce_window`` adds a fixed gather delay per round; the
-        default 0 coalesces only already-runnable work. Most effective
-        together with ``pool_slots``; non-pool sessions inside a round
-        fall back to the per-session path.
     uds_path:
         When given, listen on this Unix domain socket instead of the
         TCP ``host``/``port`` pair. This is the cluster worker mode:
@@ -168,16 +161,10 @@ class PhaseService:
         checkpoint_interval: float = 30.0,
         sync: str = "batch",
         pool_slots: Optional[int] = None,
-        coalesce: bool = False,
-        coalesce_window: float = 0.0,
         uds_path: Optional[str] = None,
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
     ) -> None:
-        if coalesce_window < 0:
-            raise ConfigurationError(
-                f"coalesce_window must be >= 0, got {coalesce_window}"
-            )
         if max_connections <= 0:
             raise ConfigurationError(
                 f"max_connections must be positive, got {max_connections}"
@@ -211,9 +198,7 @@ class PhaseService:
         self.queue_size = queue_size
         self.sweep_interval = sweep_interval
         self.drain_timeout = drain_timeout
-        self.coalesce = coalesce
-        self.coalesce_window = coalesce_window
-        self._coalescer = None
+        self._coalescer = IngestCoalescer(self._coalesce_round)
         pool = None
         if pool_slots is not None:
             if pool_slots <= 0:
@@ -333,26 +318,25 @@ class PhaseService:
                 "repro_service_checkpoint_failures_total",
                 "Periodic checkpoint sweeps that raised",
             )
-            if coalesce:
-                self._m_coalesce_rounds = telemetry.counter(
-                    "repro_service_coalesce_rounds_total",
-                    "Coalesced ingest scheduling rounds executed",
-                )
-                self._m_coalesce_fallbacks = telemetry.counter(
-                    "repro_service_coalesce_fallbacks_total",
-                    "Observes in a round executed on the per-session "
-                    "path (non-pool sessions)",
-                )
-                self._h_round_size = telemetry.histogram(
-                    "repro_service_coalesce_round_size",
-                    "Observe requests fused per scheduling round",
-                    start=1.0, factor=2.0, count=16,
-                )
-                self._g_coalesced_sessions = telemetry.gauge(
-                    "repro_service_coalesced_sessions",
-                    "Distinct pool-backed sessions in the last "
-                    "coalesced round",
-                )
+            self._m_coalesce_rounds = telemetry.counter(
+                "repro_service_coalesce_rounds_total",
+                "Coalesced ingest scheduling rounds executed",
+            )
+            self._m_coalesce_fallbacks = telemetry.counter(
+                "repro_service_coalesce_fallbacks_total",
+                "Observes in a round executed on the per-session "
+                "path (non-pool sessions)",
+            )
+            self._h_round_size = telemetry.histogram(
+                "repro_service_coalesce_round_size",
+                "Observe requests fused per scheduling round",
+                start=1.0, factor=2.0, count=16,
+            )
+            self._g_coalesced_sessions = telemetry.gauge(
+                "repro_service_coalesced_sessions",
+                "Distinct pool-backed sessions in the last "
+                "coalesced round",
+            )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -381,15 +365,7 @@ class PhaseService:
             sockets = self._server.sockets or []
             if sockets:
                 self.port = sockets[0].getsockname()[1]
-        if self.coalesce:
-            # Imported lazily alongside its numpy dependency chain: the
-            # scheduler only exists when coalescing was asked for.
-            from repro.service.coalesce import IngestCoalescer
-
-            self._coalescer = IngestCoalescer(
-                self._coalesce_round, window=self.coalesce_window
-            )
-            self._coalescer.start()
+        self._coalescer.start()
         if self.idle_ttl_enabled:
             self._sweeper = asyncio.ensure_future(self._sweep_idle())
         if self._persistence is not None:
@@ -538,12 +514,10 @@ class PhaseService:
                         )
                     except (asyncio.CancelledError, Exception):
                         pass
-        if self._coalescer is not None:
-            # After the workers: every queued observe has been rounded
-            # and acked (the drain guarantee); stopping earlier would
-            # strand workers awaiting their round.
-            coalescer, self._coalescer = self._coalescer, None
-            await coalescer.stop()
+        # After the workers: every queued observe has been rounded and
+        # acked (the drain guarantee); stopping earlier would strand
+        # workers awaiting their round.
+        await self._coalescer.stop()
         for connection in connections:
             for task in connection.tasks:
                 task.cancel()
@@ -693,15 +667,14 @@ class PhaseService:
         """Execute queued requests; the only writer on this socket.
 
         Each cycle drains everything immediately available from the
-        queue. With coalescing enabled, observe requests are submitted
-        to the ingest scheduler (joining the cross-connection round)
-        and any other request acts as an ordering barrier: earlier
-        observes' results are collected first, so responses always
-        leave in request order and a close never overtakes its
-        session's in-flight observe. All of a cycle's payloads are
-        serialized into one buffer and written with a single
-        ``writer.write`` — one syscall per cycle instead of one per
-        line, which also benefits the uncoalesced path.
+        queue. Observe requests are submitted to the ingest scheduler
+        (joining the cross-connection round) and any other request acts
+        as an ordering barrier: earlier observes' results are collected
+        first, so responses always leave in request order and a close
+        never overtakes its session's in-flight observe. All of a
+        cycle's payloads are serialized into one buffer and written
+        with a single ``writer.write`` — one syscall per cycle instead
+        of one per line.
         """
         while True:
             item = await connection.queue.get()
@@ -718,9 +691,8 @@ class PhaseService:
                     break
             stop = False
             chunks: List[bytes] = []
-            # (future, request, submit time) triples for coalesced
-            # observes whose results have not been collected yet, in
-            # request order.
+            # (future, request, submit time) triples for observes whose
+            # results have not been collected yet, in request order.
             pending: List[tuple] = []
 
             async def _collect_pending() -> None:
@@ -748,14 +720,11 @@ class PhaseService:
                     stop = True
                     break
                 started = time.perf_counter()
-                if (
-                    item[0] == "request"
-                    and self._coalescer is not None
-                    and self._coalescer.running
-                    and isinstance(item[1], protocol.ObserveRequest)
+                if item[0] == "request" and isinstance(
+                    item[1], protocol.ObserveRequest
                 ):
                     pending.append(
-                        (self._coalescer.submit(item[1]), item[1], started)
+                        (self.execute_observe(item[1]), item[1], started)
                     )
                     continue
                 await _collect_pending()  # the ordering barrier
@@ -790,14 +759,13 @@ class PhaseService:
     # -- request execution -----------------------------------------------------
 
     def _execute(self, request: protocol.Request) -> List[dict]:
-        """Run one request; returns the wire payloads to send, pushes
-        first, the response to ``request`` last."""
+        """Run one non-observe request (observes go through
+        :meth:`execute_observe`); returns its wire response as a
+        one-payload list."""
         # Requests already queued when a drain begins are still
         # executed — the drain guarantee — so there is deliberately no
         # draining check here; refusal happens at the read loop.
         try:
-            if isinstance(request, protocol.ObserveRequest):
-                return self._handle_observe(request)
             return [protocol.ok_response(
                 request.id, self._handle_simple(request)
             )]
@@ -910,6 +878,8 @@ class PhaseService:
     def _handle_observe(
         self, request: protocol.ObserveRequest
     ) -> List[dict]:
+        """Observe on one session's own tracker: the round's path for
+        sessions without a pool slot."""
         session = self.registry.get(request.session)
         started = time.perf_counter()
         reports = session.tracker.observe_batch(
@@ -928,17 +898,17 @@ class PhaseService:
     ) -> List[dict]:
         """The shared post-classification tail of an observe: session
         bookkeeping, journaling, prediction scoring, interval events,
-        and the wire payloads (pushes first, ack last). Used by both
-        the per-session path and the coalesced round executor so the
-        two produce byte-identical streams by construction."""
+        and the wire payloads (pushes first, ack last). Shared by a
+        round's fused and per-session paths so the two produce
+        byte-identical streams by construction."""
         session.branches_ingested += len(request.pcs)
         session.intervals_pushed += len(reports)
         if self._persistence is not None and request.pcs:
             # Journaled (and flushed per the sync mode) before the ack
             # below is written: an acknowledged batch is as durable as
-            # the sync mode promises. In a coalesced round every
-            # submission logs here before any future resolves, so the
-            # whole round is journaled before the first ack leaves.
+            # the sync mode promises. In a round every submission
+            # logs here before any future resolves, so the whole round
+            # is journaled before the first ack leaves.
             self._persistence.log_observe(
                 session.name, request.pcs, request.counts,
                 cpi=request.cpi,
@@ -946,21 +916,20 @@ class PhaseService:
         if self._telemetry is not None:
             self._m_branches.inc(len(request.pcs))
             self._m_intervals.inc(len(reports))
+        payloads = []
         for report in reports:
             self._score_prediction(session, report)
-        if self._telemetry is not None and reports:
-            # One event per boundary (not per branch); with neither a
-            # JSONL sink nor an SSE subscriber these are one-check
-            # no-ops inside the hub.
-            for report in reports:
+            # Serialized once: the event and the push share the dict
+            # (flat scalars; emit copies the fields it records).
+            fields = report.to_dict()
+            if self._telemetry is not None:
+                # One event per boundary (not per branch); with neither
+                # a JSONL sink nor an SSE subscriber this is a
+                # one-check no-op inside the hub.
                 self._telemetry.emit(
-                    "interval", session=session.name,
-                    **report.to_dict(),
+                    "interval", session=session.name, **fields
                 )
-        payloads = [
-            protocol.interval_push(session.name, report.to_dict())
-            for report in reports
-        ]
+            payloads.append(protocol.interval_push(session.name, fields))
         payloads.append(protocol.ok_response(request.id, {
             "intervals": len(reports),
             "branches": len(request.pcs),
@@ -969,16 +938,28 @@ class PhaseService:
 
     # -- coalesced ingest rounds ----------------------------------------------
 
-    async def execute_observe(
+    def execute_observe(
         self, request: protocol.ObserveRequest
-    ) -> List[dict]:
-        """Execute one observe through the ingest coalescer when it is
-        running, else inline — the entry point shared by the NDJSON
-        workers and the HTTP gateway's observe-batch endpoint."""
-        coalescer = self._coalescer
-        if coalescer is not None and coalescer.running:
-            return await coalescer.submit(request)
-        return self._execute(request)
+    ) -> "Awaitable[List[dict]]":
+        """Queue one observe for the next coalesced round; returns a
+        future resolving to its wire payloads (pushes first, ack last).
+
+        The one entry point for observes, shared by the NDJSON workers
+        and the HTTP gateway's observe-batch endpoint. With no round
+        scheduler running (before :meth:`start`, after :meth:`shutdown`)
+        the future already holds a ``shutting_down`` refusal, so no
+        caller waits on a round that will never run.
+        """
+        if self._coalescer.running:
+            return self._coalescer.submit(request)
+        future = asyncio.get_event_loop().create_future()
+        future.set_result(self._error_payloads(
+            request.id,
+            ServiceUnavailableError(
+                "service is not running; no observe is accepted"
+            ),
+        ))
+        return future
 
     def _coalesce_round(self, submissions) -> None:
         """Execute one coalesced ingest round.
@@ -987,27 +968,25 @@ class PhaseService:
         single fused :meth:`TrackerPool.observe_fanin` pass; everything
         else (scalar trackers, lookup failures) takes the per-session
         path. Every submission's future is resolved with its wire
-        payloads — pushes first, ack last, identical to the inline
-        path — and journaling for the whole round happens before any
-        future resolves.
+        payloads — pushes first, ack last — and journaling for the
+        whole round happens before any future resolves.
 
         Ordering: submissions arrive in per-connection request order,
         a session's submissions are grouped and its whole group takes
         exactly one path per round (fused or per-session — never a
         mid-round flip that could reorder a session's requests), and
-        same-session slices are concatenated in submission order, so a
-        record-by-record replay would interleave exactly the way the
-        uncoalesced worker loop does.
+        same-session slices are concatenated in submission order, so
+        each session sees its records in exactly the order its
+        connection sent them — the stream a scalar tracker fed request
+        by request would see.
         """
-        from collections import OrderedDict
-
         # Group submissions per session, keeping submission order both
         # across groups (insertion order) and within each group. The
-        # lookup runs per submission — exactly the inline path's LRU /
-        # hydration touches — and the group always uses the *latest*
-        # resolved Session object (a mid-round evict-and-hydrate
-        # replaces it for every queued request of that session).
-        groups: "OrderedDict[str, dict]" = OrderedDict()
+        # lookup runs per submission — one LRU / hydration touch per
+        # request — and the group always uses the *latest* resolved
+        # Session object (a mid-round evict-and-hydrate replaces it for
+        # every queued request of that session).
+        groups: Dict[str, dict] = {}
         for submission in submissions:
             request = submission.request
             try:
@@ -1027,9 +1006,14 @@ class PhaseService:
                 group["subs"].append(submission)
 
         def _per_session(group: dict) -> None:
-            """Today's path for a whole group, in request order."""
+            """A whole group on its own tracker, in request order."""
             for submission in group["subs"]:
-                submission.resolve(self._execute(submission.request))
+                request = submission.request
+                try:
+                    payloads = self._handle_observe(request)
+                except Exception as error:
+                    payloads = self._error_payloads(request.id, error)
+                submission.resolve(payloads)
             if self._telemetry is not None:
                 self._m_coalesce_fallbacks.inc(len(group["subs"]))
 
@@ -1179,19 +1163,8 @@ class PhaseService:
                 self._persistence.stats()
                 if self._persistence is not None else None
             ),
+            "coalesce": self._coalescer.stats(),
         }
-        if self.coalesce:
-            coalescer = self._coalescer
-            if coalescer is not None:
-                diagnostics["coalesce"] = dict(
-                    enabled=True, **coalescer.stats()
-                )
-            else:
-                diagnostics["coalesce"] = {
-                    "enabled": True,
-                    "window": self.coalesce_window,
-                    "rounds": 0,
-                }
         if self._persistence is not None:
             diagnostics["checkpoint_failures"] = self.checkpoint_failures
         return diagnostics

@@ -2,6 +2,7 @@
 from the scalar PhaseTracker oracle — identical reports, byte-identical
 snapshots — across configurations, plus its own slot-lifecycle rules."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -349,15 +350,18 @@ def test_pooled_reports_are_json_safe():
 
 
 def test_report_legacy_alias():
-    """The deprecated ``interval`` key only appears on request."""
+    """The removed ``interval`` alias of ``interval_index`` stays gone:
+    the wire form carries exactly the report's fields."""
     pool = TrackerPool(capacity=1)
     slot = pool.allocate(interval_instructions=50)
     pool.observe_branch(slot, 0x400, 60)
     report = pool.complete_interval(slot, cpi=1.0)
-    modern = report.to_dict()
-    assert "interval" not in modern
-    legacy = report.to_dict(legacy=True)
-    assert legacy["interval"] == legacy["interval_index"] == 0
+    payload = report.to_dict()
+    assert "interval" not in payload
+    assert payload["interval_index"] == 0
+    assert list(payload) == [
+        field.name for field in dataclasses.fields(report)
+    ]
 
 
 class TestPoolTelemetry:

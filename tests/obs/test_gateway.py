@@ -1,9 +1,10 @@
 """The HTTP operations gateway, end to end against a live service.
 
 The load-bearing guarantee: the HTTP session routes run the *same*
-``PhaseService._execute`` path as the NDJSON-over-TCP protocol, so the
-interval reports that come back over HTTP are byte-for-byte the ones
-the TCP client would have received for the same stream.
+service paths as the NDJSON-over-TCP protocol (observes join the same
+coalesced rounds), so the interval reports that come back over HTTP
+are byte-for-byte the ones the TCP client would have received for the
+same stream.
 """
 
 import json
@@ -17,6 +18,7 @@ import pytest
 
 from repro.service import PhaseServiceClient, start_in_thread
 from repro.telemetry import parse_prometheus_text
+from tests.service.wire_oracle import expected_reports
 
 BASE_A, BASE_B = 0x400000, 0x900000
 INTERVAL = 3_000
@@ -372,6 +374,9 @@ class TestDrain:
                 f"http://{handle.service.http_host}"
                 f":{handle.service.http_port}"
             )
+            status, _ = call(base, "POST", "/v1/sessions",
+                             {"session": "live"})
+            assert status == 201
             status, body = call(base, "POST", "/v1/drain", {"grace": 5.0})
             assert status == 200 and body["draining"] is True
 
@@ -386,23 +391,30 @@ class TestDrain:
                                 {"session": "late"})
             assert status == 503
             assert body["error"]["code"] == "shutting_down"
+            status, body = call(
+                base, "POST", "/v1/sessions/live/observe-batch",
+                {"pcs": [BASE_A], "counts": [10], "cpi": 1.0},
+            )
+            assert status == 503
+            assert body["error"]["code"] == "shutting_down"
         finally:
             handle.stop()
 
 
 class TestCoalescedObserve:
     """The observe-batch route joins the service's coalescing rounds:
-    reports must match a non-coalesced gateway run exactly."""
+    reports must match the scalar-tracker oracle exactly."""
 
-    def run_gateway(self, coalesce):
-        handle = start_in_thread(
-            max_sessions=8, pool_slots=8, http_port=0,
-            coalesce=coalesce,
-        )
+    def test_reports_match_scalar_oracle(self):
+        handle = start_in_thread(max_sessions=8, pool_slots=8, http_port=0)
         base = (
             f"http://{handle.service.http_host}:"
             f"{handle.service.http_port}"
         )
+        plan = [{
+            "op": "open", "id": 0, "session": "co",
+            "interval_instructions": INTERVAL,
+        }]
         reports = []
         try:
             call(base, "POST", "/v1/sessions", {
@@ -415,23 +427,20 @@ class TestCoalescedObserve:
                 )
                 assert status == 200
                 reports += result["reports"]
+                plan.append({
+                    "op": "observe", "id": len(plan), "session": "co",
+                    "pcs": pcs, "counts": counts, "cpi": 1.2,
+                })
             status, diagnostics = call(base, "GET", "/v1/diagnostics")
         finally:
             handle.stop()
-        return reports, diagnostics
-
-    def test_reports_match_uncoalesced_gateway(self):
-        coalesced, diagnostics = self.run_gateway(coalesce=True)
-        reference, _ = self.run_gateway(coalesce=False)
-        assert coalesced == reference
-        assert len(coalesced) > 0
+        assert reports == expected_reports(plan)
+        assert len(reports) > 0
         assert diagnostics["coalesce"]["requests"] == 8
         assert diagnostics["coalesce"]["rounds"] >= 1
 
     def test_observe_errors_still_map_to_http_status(self):
-        handle = start_in_thread(
-            max_sessions=4, pool_slots=4, http_port=0, coalesce=True,
-        )
+        handle = start_in_thread(max_sessions=4, pool_slots=4, http_port=0)
         base = (
             f"http://{handle.service.http_host}:"
             f"{handle.service.http_port}"

@@ -59,7 +59,7 @@ class TestBaseHistoryBounds:
     def test_history_depth_enforced(self):
         predictor = self._Stub(history_depth=3)
         for phase in (1, 2, 3, 4, 5, 6):
-            predictor.observe(phase)
+            predictor.advance(phase)
         assert len(predictor.completed_runs) <= 3
 
     def test_invalid_history_depth(self):
@@ -72,8 +72,8 @@ class TestBaseHistoryBounds:
 
     def test_train_then_predict_round_trip(self):
         predictor = self._Stub()
-        predictor.observe(1)
-        predictor.observe(2)           # change 1 -> 2
+        predictor.advance(1)
+        predictor.advance(2)           # change 1 -> 2
         key = predictor.change_key()
         predictor.train_change(key, 2)
         prediction = predictor._lookup(key)
@@ -82,8 +82,8 @@ class TestBaseHistoryBounds:
 
     def test_confidence_two_step(self):
         predictor = self._Stub(use_confidence=True)
-        predictor.observe(1)
-        predictor.observe(2)
+        predictor.advance(1)
+        predictor.advance(2)
         key = predictor.change_key()
         predictor.train_change(key, 2)       # insert
         assert not predictor._lookup(key).confident

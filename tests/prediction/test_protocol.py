@@ -1,6 +1,6 @@
 """The unified PhasePredictor protocol: every predictor family
-conforms to ``advance() -> PhaseObservation``, and the historical
-``observe()`` signatures survive as deprecating shims."""
+conforms to ``advance() -> PhaseObservation``; the historical
+per-family ``observe()`` signatures are gone."""
 
 import pytest
 
@@ -60,10 +60,10 @@ def test_reset_restarts_the_stream(build):
 
 
 @pytest.mark.parametrize("build", ALL_PREDICTORS)
-def test_observe_shim_deprecates(build):
-    predictor = build()
-    with pytest.deprecated_call():
-        predictor.observe(3)
+def test_observe_shim_is_gone(build):
+    # advance() is the one spelling; an observe() here would be a
+    # second contract (and a name clash with the metric predictors').
+    assert not hasattr(build(), "observe")
 
 
 def test_change_observation_carries_completed_run():

@@ -94,7 +94,7 @@ class TestPredictorStreamProperties:
     def test_last_value_accuracy_equals_stability(self, stream):
         predictor = LastValuePredictor()
         for phase in stream:
-            predictor.observe(phase)
+            predictor.advance(phase)
         same = sum(1 for a, b in zip(stream, stream[1:]) if a == b)
         assert predictor.correct == same
 
@@ -103,7 +103,7 @@ class TestPredictorStreamProperties:
     def test_history_bounded(self, stream):
         predictor = RLEChangePredictor(2)
         for phase in stream:
-            predictor.observe(phase)
+            predictor.advance(phase)
         assert len(predictor.completed_runs) <= predictor.history_depth
 
 
@@ -122,7 +122,7 @@ class TestLengthProperties:
     def test_length_predictor_never_crashes_and_counts(self, stream):
         predictor = PhaseLengthPredictor()
         for phase in stream:
-            predictor.observe(phase)
+            predictor.advance(phase)
         stats = predictor.stats
         assert stats.correct + stats.tag_misses <= (
             stats.predictions + stats.correct

@@ -1,17 +1,22 @@
-"""Cross-session ingest coalescing: the coalesced wire path must be
-byte-identical to the per-session reference path — including pool +
+"""Coalesced ingest rounds — the service's only observe path — must
+answer byte-identically to a scalar-tracker oracle, including pool +
 persistence + mid-stream evict/hydrate churn and foreign-config
-fallbacks mixed into rounds — and protocol ordering (pushes before
-acks, responses in request order) must hold under interleaved
-multi-connection load."""
+fallbacks mixed into rounds; protocol ordering (pushes before acks,
+responses in request order) must hold under interleaved
+multi-connection load; and an observe arriving with no round
+scheduler running must be refused, not stranded."""
 
+import asyncio
 import json
 import socket
 
 import numpy as np
-import pytest
 
-from repro.service.server import start_in_thread
+from repro.service import PhaseServiceClient, protocol
+from repro.service.coalesce import Submission
+from repro.service.server import PhaseService, start_in_thread
+from repro.telemetry import Telemetry, parse_prometheus_text
+from tests.service.wire_oracle import expected_stream, replay
 
 BASE = 0x40000
 
@@ -84,8 +89,7 @@ def run_workload(plans, **service_kwargs):
     handle = start_in_thread(**service_kwargs)
     try:
         streams = drive(handle.port, plans)
-        coalescer = handle.service._coalescer
-        stats = coalescer.stats() if coalescer is not None else None
+        stats = handle.service._coalescer.stats()
     finally:
         handle.stop()
     return streams, stats
@@ -94,54 +98,40 @@ def run_workload(plans, **service_kwargs):
 FOREIGN_CONFIG = {"num_counters": 8, "table_entries": 16}
 
 
-class TestByteIdentity:
-    def compare(self, plans, extra_on=None, **kwargs):
-        on_kwargs = dict(kwargs, coalesce=True, **(extra_on or {}))
-        coalesced, stats = run_workload(plans, **on_kwargs)
-        reference, _ = run_workload(plans, coalesce=False, **kwargs)
-        assert coalesced == reference
-        assert stats["requests"] == sum(
-            1 for plan in plans for request in plan
-            if request["op"] == "observe"
-        )
-        assert stats["rounds"] >= 1
-        return stats
+def observe_count(plans):
+    return sum(
+        1 for plan in plans for request in plan
+        if request["op"] == "observe"
+    )
 
-    def test_pooled_sessions_match_reference(self, tmp_path):
+
+class TestByteIdentity:
+    def compare(self, plans, **kwargs):
+        streams, stats = run_workload(plans, **kwargs)
+        for stream, plan in zip(streams, plans):
+            assert stream == expected_stream(plan)
+        assert stats["requests"] == observe_count(plans)
+        assert stats["rounds"] >= 1
+
+    def test_pooled_sessions_match_reference(self):
         plans = [
             connection_requests(f"s{index}", seed=index, observes=12)
             for index in range(6)
         ]
-        # A gather window makes multi-request rounds certain, proving
-        # the fused path (not single-submission rounds) is what
-        # matched the reference.
-        stats = self.compare(
-            plans,
-            extra_on={"coalesce_window": 0.05},
-            max_sessions=16, pool_slots=16,
-        )
-        assert stats["max_round_size"] > 1
+        self.compare(plans, max_sessions=16, pool_slots=16)
 
     def test_persistence_evict_hydrate_churn(self, tmp_path):
         # 8 sessions through a 3-session table: every round mixes
         # hydrations and evict-to-disk with the fused pass, including
-        # sessions whose pool slot disappears mid-round. Each run gets
-        # its own data directory so recovery doesn't cross runs.
+        # sessions whose pool slot disappears mid-round.
         plans = [
             connection_requests(f"d{index}", seed=10 + index, observes=10)
             for index in range(8)
         ]
-        coalesced, _ = run_workload(
-            plans, coalesce=True,
-            max_sessions=3, pool_slots=3,
-            data_dir=str(tmp_path / "on"),
+        self.compare(
+            plans, max_sessions=3, pool_slots=3,
+            data_dir=str(tmp_path / "data"),
         )
-        reference, _ = run_workload(
-            plans, coalesce=False,
-            max_sessions=3, pool_slots=3,
-            data_dir=str(tmp_path / "off"),
-        )
-        assert coalesced == reference
 
     def test_foreign_config_fallback_mixed_into_rounds(self):
         # Odd sessions carry a non-default config, so they get scalar
@@ -157,13 +147,133 @@ class TestByteIdentity:
         self.compare(plans, max_sessions=8, pool_slots=8)
 
     def test_no_pool_still_matches(self):
-        # coalesce without --pool-slots: every session falls back, the
-        # scheduler is pure overhead but must stay correct.
+        # Without --pool-slots every session falls back to its own
+        # tracker: the scheduler is pure overhead but must stay correct.
         plans = [
             connection_requests(f"n{index}", seed=30 + index, observes=6)
             for index in range(3)
         ]
         self.compare(plans, max_sessions=4)
+
+
+def run_round(service, plan):
+    """Feed ``plan`` (observe request dicts) to the service's round
+    executor as one hand-built round; returns each submission's
+    resolved payloads."""
+    loop = asyncio.new_event_loop()
+    try:
+        submissions = [
+            Submission(
+                protocol.parse_request(json.dumps(request)),
+                loop.create_future(),
+            )
+            for request in plan
+        ]
+        service._coalesce_round(submissions)
+        return [submission.future.result() for submission in submissions]
+    finally:
+        loop.close()
+
+
+class TestRoundExecutor:
+    def test_hand_built_multi_session_rounds_match_oracle(self, tmp_path):
+        """Rounds mixing pooled sessions, a foreign-config scalar
+        session and sessions hydrated and evicted mid-round, fed
+        straight to the round executor: every submission must resolve
+        to the oracle's answer. A 4-session table serves 5 sessions.
+
+        Round 1 hydrates on-disk ``p0`` (evicting the untouched
+        ``idle``) and takes both paths: ``f`` per-session, the pooled
+        sessions fused. Round 2 hydrates ``idle`` after ``f`` was
+        looked up, evicting ``f`` mid-round; re-hydrating it evicts a
+        pooled session, so the stale-handle demotion moves the rest of
+        the round to the per-session path.
+        """
+        telemetry = Telemetry()
+        service = PhaseService(
+            max_sessions=4, pool_slots=4,
+            data_dir=str(tmp_path / "data"), telemetry=telemetry,
+        )
+        configs = {
+            "p0": None, "idle": None, "p1": None, "f": FOREIGN_CONFIG,
+            "p2": None,
+        }
+        opens = []
+        for index, (name, config) in enumerate(configs.items()):
+            opens.append({
+                "op": "open", "id": index, "session": name,
+                "interval_instructions": 2_000,
+            })
+            if config is not None:
+                opens[-1]["config"] = config
+        streams = {
+            name: iter(observe_plan(seed=70 + index, observes=4))
+            for index, name in enumerate(configs)
+        }
+        next_id = iter(range(100, 1_000))
+
+        def observes(names):
+            plan = []
+            for name in names:
+                pcs, counts, cpi = next(streams[name])
+                plan.append({
+                    "op": "observe", "id": next(next_id), "session": name,
+                    "pcs": pcs, "counts": counts, "cpi": cpi,
+                })
+            return plan
+
+        round_one = observes(["p1", "f", "p2", "p0"] * 2)
+        round_two = observes(["f", "p0", "p1", "p2", "idle"])
+        expected = replay(opens + round_one + round_two)
+
+        def fallbacks():
+            metrics = parse_prometheus_text(telemetry.render_metrics())
+            return metrics["repro_service_coalesce_fallbacks_total"]
+
+        try:
+            for request, answer in zip(opens, expected):
+                assert service._execute(protocol.OpenRequest(
+                    id=request["id"], session=request["session"],
+                    config=request.get("config"),
+                    interval_instructions=2_000, snapshot=None,
+                )) == answer
+            assert service.registry.stats()["evicted_saved"] == 1  # p0
+
+            answers = run_round(service, round_one)
+            assert answers == expected[len(opens):][:len(round_one)]
+            assert fallbacks() == 2  # f's two observes; the rest fused
+            assert service.registry.stats()["evicted_saved"] == 2  # idle
+
+            answers = run_round(service, round_two)
+            assert answers == expected[len(opens) + len(round_one):]
+            assert fallbacks() == 2 + len(round_two)
+            assert service.registry.stats()["evicted_saved"] > 3
+        finally:
+            service.persistence.close()
+
+
+async def observe_now(service, request):
+    return await asyncio.wait_for(
+        service.execute_observe(request), timeout=5
+    )
+
+
+class TestShutdown:
+    def test_execute_observe_without_scheduler_is_refused(self):
+        handle = start_in_thread(max_sessions=4, pool_slots=4)
+        with PhaseServiceClient(port=handle.port) as client:
+            client.open_session(session="late", interval_instructions=2_000)
+        handle.stop()
+        request = protocol.ObserveRequest(
+            id=7, session="late", pcs=[BASE], counts=[10], cpi=1.0,
+        )
+        # After stop() the scheduler is gone: a typed refusal, no hang.
+        (payload,) = asyncio.run(observe_now(handle.service, request))
+        assert payload["id"] == 7 and payload["ok"] is False
+        assert payload["error"]["code"] == "shutting_down"
+        # A never-started service answers the same way.
+        (payload,) = asyncio.run(observe_now(PhaseService(), request))
+        assert payload["error"]["code"] == "shutting_down"
 
 
 class TestOrdering:
@@ -172,10 +282,7 @@ class TestOrdering:
             connection_requests(f"o{index}", seed=40 + index, observes=12)
             for index in range(5)
         ]
-        handle = start_in_thread(
-            max_sessions=8, pool_slots=8,
-            coalesce=True, coalesce_window=0.05,
-        )
+        handle = start_in_thread(max_sessions=8, pool_slots=8)
         try:
             streams = drive(handle.port, plans)
         finally:
@@ -209,52 +316,48 @@ class TestOrdering:
 
     def test_non_observe_requests_are_barriers(self):
         # A snapshot pipelined mid-stream must observe all earlier
-        # ingest: its tracker state equals the uncoalesced run's.
+        # ingest and none of the later: its tracker state (and the
+        # whole stream) equals the oracle's.
         session = "barrier"
         plan = connection_requests(session, seed=50, observes=8)
         snapshot_request = {
             "op": "snapshot", "id": 100, "session": session,
         }
         plan = plan[:5] + [snapshot_request] + plan[5:]
-        results = []
-        for coalesce in (True, False):
-            handle = start_in_thread(
-                max_sessions=4, pool_slots=4, coalesce=coalesce,
-            )
-            try:
-                (stream,) = drive(handle.port, [plan])
-            finally:
-                handle.stop()
-            snapshot = next(
-                json.loads(line)
-                for line in stream.splitlines()
-                if json.loads(line).get("id") == 100
-            )
-            assert snapshot["ok"] is True
-            results.append(snapshot["result"])
-        assert results[0] == results[1]
+        handle = start_in_thread(max_sessions=4, pool_slots=4)
+        try:
+            (stream,) = drive(handle.port, [plan])
+        finally:
+            handle.stop()
+        assert stream == expected_stream(plan)
+        assert b'"id":100,"ok":true' in stream
 
 
 class TestDiagnostics:
     def test_coalesce_section_reports_scheduler_stats(self):
         plans = [connection_requests("diag", seed=60, observes=5)]
-        handle = start_in_thread(
-            max_sessions=4, pool_slots=4, coalesce=True,
-        )
+        handle = start_in_thread(max_sessions=4, pool_slots=4)
         try:
             drive(handle.port, plans)
             diagnostics = handle.service.diagnostics()
         finally:
             handle.stop()
         section = diagnostics["coalesce"]
-        assert section["enabled"] is True
+        assert set(section) == {
+            "rounds", "requests", "max_round_size", "mean_round_size",
+            "pending",
+        }
         assert section["requests"] == 5
         assert section["rounds"] >= 1
         assert section["pending"] == 0
 
-    def test_disabled_service_has_no_section(self):
+    def test_section_present_without_pool(self):
+        # Every service coalesces, pool or not: the section is always
+        # there, zeroed before any observe.
         handle = start_in_thread(max_sessions=4)
         try:
-            assert "coalesce" not in handle.service.diagnostics()
+            section = handle.service.diagnostics()["coalesce"]
         finally:
             handle.stop()
+        assert section["rounds"] == section["requests"] == 0
+        assert section["pending"] == 0
