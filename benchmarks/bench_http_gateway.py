@@ -123,7 +123,7 @@ def measure(gateway, batches, repeats=REPEATS):
     best = 0.0
     reports = 0
     for attempt in range(repeats):
-        kwargs = dict(max_sessions=8, pool_slots=8)
+        kwargs = dict(max_sessions=8)
         if gateway:
             kwargs["http_port"] = 0
         handle = start_in_thread(**kwargs)

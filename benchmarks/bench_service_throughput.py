@@ -311,8 +311,7 @@ def _ndjson_rate(sessions=COALESCE_SESSIONS,
         for plan in plans
     ]
     with start_in_thread(
-        max_sessions=sessions + 8, pool_slots=sessions + 8,
-        max_connections=connections + 8,
+        max_sessions=sessions + 8, max_connections=connections + 8,
     ) as handle:
         socks = [
             socket.create_connection(

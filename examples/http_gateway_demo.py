@@ -77,9 +77,7 @@ def sse_events(host, port, limit, timeout=10.0):
 
 def main():
     rng = np.random.default_rng(11)
-    handle = start_in_thread(
-        max_sessions=8, pool_slots=8, http_port=0
-    )
+    handle = start_in_thread(max_sessions=8, http_port=0)
     service = handle.service
     base = f"http://{service.http_host}:{service.http_port}"
     print(f"gateway + dashboard at {base}/")

@@ -254,7 +254,6 @@ class ClusterDispatcher:
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
         worker_max_sessions: int = 1024,
-        pool_slots: Optional[int] = None,
         sync: str = "batch",
         checkpoint_interval: float = 30.0,
         idle_ttl: Optional[float] = None,
@@ -293,7 +292,6 @@ class ClusterDispatcher:
             sync=sync,
             checkpoint_interval=checkpoint_interval,
             max_sessions=worker_max_sessions,
-            pool_slots=pool_slots,
             idle_ttl=idle_ttl,
             queue_size=queue_size,
             max_connections=max_connections + 8,
@@ -1063,7 +1061,6 @@ class ClusterDispatcher:
             "confident_scored": 0, "confident_correct": 0,
         }
         pool_capacity = pool_active = 0
-        pool_present = False
         queue_depth = self.ingest_queue_depth()
         requests = errors = 0
         for diag in per_worker.values():
@@ -1076,11 +1073,9 @@ class ClusterDispatcher:
                 prediction[key] += (
                     (diag.get("prediction") or {}).get(key, 0) or 0
                 )
-            pool = diag.get("pool")
-            if pool:
-                pool_present = True
-                pool_capacity += pool.get("capacity", 0) or 0
-                pool_active += pool.get("active_slots", 0) or 0
+            pool = diag.get("pool") or {}
+            pool_capacity += pool.get("capacity", 0) or 0
+            pool_active += pool.get("active_slots", 0) or 0
             queue_depth += diag.get("ingest_queue_depth", 0) or 0
             requests += diag.get("requests", 0) or 0
             errors += diag.get("errors", 0) or 0
@@ -1115,17 +1110,13 @@ class ClusterDispatcher:
             "phase_occupancy": occupancy,
             "prediction": prediction_out,
             "registry": registry,
-            "pool": (
-                {
-                    "capacity": pool_capacity,
-                    "active_slots": pool_active,
-                    "utilization": (
-                        pool_active / pool_capacity
-                        if pool_capacity else None
-                    ),
-                }
-                if pool_present else None
-            ),
+            "pool": {
+                "capacity": pool_capacity,
+                "active_slots": pool_active,
+                "utilization": (
+                    pool_active / pool_capacity if pool_capacity else None
+                ),
+            },
             "persistence": None,
             "cluster": status,
         }

@@ -57,9 +57,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checkpoint-interval", type=float, default=30.0,
                         help="seconds between checkpoint sweeps")
     parser.add_argument("--max-sessions", type=int, default=1024,
-                        help="session table capacity")
-    parser.add_argument("--pool-slots", type=int, default=None,
-                        help="SoA tracker pool capacity (default scalar)")
+                        help="session table capacity (also sizes the "
+                             "tracker pool)")
     parser.add_argument("--queue-size", type=int, default=32,
                         help="per-connection ingest queue depth")
     parser.add_argument("--max-connections", type=int, default=1024,
@@ -84,7 +83,6 @@ def build_service(args: argparse.Namespace) -> PhaseService:
         data_dir=args.data_dir,
         checkpoint_interval=args.checkpoint_interval,
         sync=args.sync,
-        pool_slots=args.pool_slots,
     )
 
 

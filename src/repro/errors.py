@@ -60,8 +60,6 @@ class PoolError(ReproError):
     Raised for out-of-range or unallocated slot handles, for
     allocation from a full pool with growth disabled, and for
     configurations the pool cannot host (an infinite signature table).
-    Registry callers treat an allocation failure as a soft signal and
-    fall back to a scalar :class:`~repro.core.online.PhaseTracker`.
     """
 
 

@@ -311,15 +311,15 @@ def _serve_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--pool-slots", type=int, default=None, metavar="N",
-        help="back default-config sessions with an N-slot SoA tracker "
-        "pool (repro.core.pool); sessions with custom configs fall "
-        "back to scalar trackers (default: no pool)",
+        help="accepted for compatibility and ignored: default-config "
+        "sessions always live on an SoA tracker pool sized by "
+        "--max-sessions (it grows on demand); sessions with custom "
+        "configs get scalar trackers",
     )
     parser.add_argument(
         "--coalesce", action="store_true",
         help="accepted for compatibility and ignored: observes always "
-        "run in coalesced rounds (fused SoA pool passes with "
-        "--pool-slots)",
+        "run in coalesced rounds (fused SoA pool passes)",
     )
     parser.add_argument(
         "--max-connections", type=int, default=64,
@@ -407,7 +407,6 @@ def _serve_main(argv: List[str]) -> int:
         host=args.host,
         port=args.port,
         max_sessions=args.max_sessions,
-        pool_slots=args.pool_slots,
         idle_ttl=args.idle_ttl,
         evict_lru=not args.no_evict,
         max_connections=args.max_connections,
@@ -504,7 +503,6 @@ def _serve_cluster(args) -> int:
         http_host=args.http_host,
         http_port=args.http_port,
         worker_max_sessions=args.max_sessions,
-        pool_slots=args.pool_slots,
         sync=args.sync,
         checkpoint_interval=args.checkpoint_interval,
         idle_ttl=args.idle_ttl,

@@ -329,14 +329,9 @@ async function poll() {
       fmt(diag.registry.opened) + " opened · " +
       fmt(diag.registry.evicted) + " evicted";
     $("t-queue").textContent = fmt(diag.ingest_queue_depth);
-    if (diag.pool) {
-      $("t-pool").textContent =
-        fmt(diag.pool.active_slots) + "/" + fmt(diag.pool.capacity);
-      $("t-pool-s").textContent = pct(diag.pool.utilization) + " utilized";
-    } else {
-      $("t-pool").textContent = "—";
-      $("t-pool-s").textContent = "scalar trackers";
-    }
+    $("t-pool").textContent =
+      fmt(diag.pool.active_slots) + "/" + fmt(diag.pool.capacity);
+    $("t-pool-s").textContent = pct(diag.pool.utilization) + " utilized";
     $("t-acc").textContent = pct(diag.prediction.accuracy);
     $("t-acc-s").textContent = fmt(diag.prediction.scored) + " scored · "
       + pct(diag.prediction.confident_accuracy) + " confident";

@@ -93,6 +93,9 @@ class PhaseService:
         :attr:`port` after :meth:`start`.
     max_sessions, idle_ttl, evict_lru:
         Session registry policy (see :class:`SessionRegistry`).
+        ``max_sessions`` also sizes the registry's tracker pool, which
+        hosts every default-config session; sessions opened with
+        configuration overrides get scalar trackers.
     max_connections:
         Concurrent-connection cap; surplus accepts are closed
         immediately.
@@ -121,12 +124,6 @@ class PhaseService:
         Journal durability mode (``none`` / ``batch`` / ``always``);
         see :mod:`repro.persistence.journal`. Only meaningful with a
         ``data_dir``.
-    pool_slots:
-        When set, back default-configured sessions with a shared
-        :class:`~repro.core.pool.TrackerPool` of this initial capacity
-        (the structure-of-arrays fast path; the pool grows on demand).
-        Sessions opened with non-default configuration overrides fall
-        back to scalar trackers transparently.
     uds_path:
         When given, listen on this Unix domain socket instead of the
         TCP ``host``/``port`` pair. This is the cluster worker mode:
@@ -160,7 +157,6 @@ class PhaseService:
         data_dir: Optional[str] = None,
         checkpoint_interval: float = 30.0,
         sync: str = "batch",
-        pool_slots: Optional[int] = None,
         uds_path: Optional[str] = None,
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
@@ -199,27 +195,11 @@ class PhaseService:
         self.sweep_interval = sweep_interval
         self.drain_timeout = drain_timeout
         self._coalescer = IngestCoalescer(self._coalesce_round)
-        pool = None
-        if pool_slots is not None:
-            if pool_slots <= 0:
-                raise ConfigurationError(
-                    f"pool_slots must be positive, got {pool_slots}"
-                )
-            # Imported lazily: the service protocol surface should not
-            # pay the numpy pool import unless the fast path is on.
-            from repro.core.pool import TrackerPool
-            from repro.service.session import build_config
-
-            pool = TrackerPool(
-                capacity=pool_slots, config=build_config(None),
-                telemetry=telemetry,
-            )
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
             idle_ttl=idle_ttl,
             evict_lru=evict_lru,
             telemetry=telemetry,
-            pool=pool,
         )
         self.checkpoint_interval = checkpoint_interval
         self._persistence = None
@@ -824,7 +804,7 @@ class PhaseService:
                 )
             return {
                 "session": session.name,
-                "restored": not session.recyclable,
+                "restored": session.restored,
                 "interval_instructions":
                     session.tracker.interval_instructions,
             }
@@ -1020,8 +1000,8 @@ class PhaseService:
         fused = []
         for group in groups.values():
             if self.registry.pool_slot(group["session"]) is None:
-                # Foreign-config scalar trackers (and pool-exhaustion
-                # fallbacks) keep the per-session path.
+                # Foreign-config scalar trackers keep the per-session
+                # path.
                 _per_session(group)
             else:
                 fused.append(group)
@@ -1148,17 +1128,11 @@ class PhaseService:
             "phase_occupancy": occupancy,
             "prediction": self.prediction_accuracy(),
             "registry": dict(self.registry.stats()),
-            "pool": (
-                {
-                    "capacity": pool.capacity,
-                    "active_slots": pool.active_slots,
-                    "utilization": (
-                        pool.active_slots / pool.capacity
-                        if pool.capacity else None
-                    ),
-                }
-                if pool is not None else None
-            ),
+            "pool": {
+                "capacity": pool.capacity,
+                "active_slots": pool.active_slots,
+                "utilization": pool.active_slots / pool.capacity,
+            },
             "persistence": (
                 self._persistence.stats()
                 if self._persistence is not None else None

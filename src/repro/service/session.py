@@ -12,9 +12,12 @@ sessions with three protection mechanisms a long-lived service needs:
   prefer explicit admission control.
 - **idle TTL** — :meth:`SessionRegistry.expire_idle` drops sessions
   untouched for ``idle_ttl`` seconds; the server sweeps periodically.
-- **recycling** — closed/evicted trackers return to a free pool and are
-  :meth:`~repro.core.online.PhaseTracker.reset` on reuse instead of
-  reconstructed, keeping session churn off the allocation path.
+- **one tracker home** — the registry owns a
+  :class:`~repro.core.pool.TrackerPool` for the default configuration,
+  sized ``max_sessions`` and growing on demand. Default-config sessions
+  live on its slots however they arrive (open, snapshot open, hydrate,
+  crash recovery); only foreign configurations get scalar trackers.
+  Closed and evicted sessions release their slot for reuse.
 
 Reclamation is observable and interceptable: before the LRU cap or the
 idle TTL destroys a session, the optional ``on_evict`` pre-drop hook
@@ -39,7 +42,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.config import ClassifierConfig
 from repro.core.online import PhaseTracker
-from repro.core.pool import PooledTracker
+from repro.core.pool import PooledTracker, TrackerPool
 from repro.errors import (
     ConfigurationError,
     PoolError,
@@ -51,7 +54,6 @@ from repro.service.snapshot import restore_tracker
 from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.core.pool import TrackerPool
     from repro.telemetry import Telemetry
 
 
@@ -60,13 +62,13 @@ class Session:
 
     __slots__ = (
         "name", "tracker", "created_at", "last_active",
-        "intervals_pushed", "branches_ingested", "recyclable",
+        "intervals_pushed", "branches_ingested", "restored",
         "predicted_next_phase", "prediction_confident",
     )
 
     def __init__(
         self, name: str, tracker: PhaseTracker, now: float,
-        recyclable: bool = True,
+        restored: bool = False,
     ) -> None:
         self.name = name
         self.tracker = tracker
@@ -74,9 +76,9 @@ class Session:
         self.last_active = now
         self.intervals_pushed = 0
         self.branches_ingested = 0
-        # Restored trackers may carry a non-default predictor setup, so
-        # they never enter the homogeneous free pool.
-        self.recyclable = recyclable
+        # Built from a snapshot (open with a snapshot, hydrate, crash
+        # recovery) rather than fresh; the open response reports it.
+        self.restored = restored
         # The last outstanding next-phase prediction this session pushed
         # to its client; the server scores it against the next interval's
         # actual phase (service-level predictor accuracy, uniform across
@@ -138,12 +140,14 @@ class SessionRegistry:
         Predicate ``(name) -> bool`` marking names that are taken even
         though not live (evicted-to-disk sessions); :meth:`open`
         refuses them and auto-naming skips them.
-    pool:
-        Optional :class:`~repro.core.pool.TrackerPool`. Sessions whose
-        configuration matches the pool's live on pool slots (the
-        batched structure-of-arrays hot path) instead of owning scalar
-        trackers; incompatible configurations and pool exhaustion fall
-        back to scalar trackers transparently.
+
+    The registry builds and owns :attr:`pool`, an auto-growing
+    :class:`~repro.core.pool.TrackerPool` for
+    ``build_config(None)`` with ``max_sessions`` initial slots.
+    Sessions with that configuration live on pool slots (the batched
+    structure-of-arrays hot path); sessions with any other
+    configuration (``table_entries=None`` included) own scalar
+    trackers.
     """
 
     def __init__(
@@ -156,7 +160,6 @@ class SessionRegistry:
         on_evict: "Optional[Callable[[Session, str], None]]" = None,
         resolver: "Optional[Callable[[str], Optional[Session]]]" = None,
         name_reserved: Optional[Callable[[str], bool]] = None,
-        pool: "Optional[TrackerPool]" = None,
     ) -> None:
         if max_sessions <= 0:
             raise ConfigurationError(
@@ -173,10 +176,12 @@ class SessionRegistry:
         self.on_evict = on_evict
         self.resolver = resolver
         self.name_reserved = name_reserved
-        self.pool = pool
+        self.pool = TrackerPool(
+            capacity=max_sessions, config=build_config(None),
+            telemetry=telemetry,
+        )
         # Most recently active last; OrderedDict gives O(1) LRU updates.
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
-        self._free_trackers: List[PhaseTracker] = []
         self._name_counter = itertools.count(1)
         self.sessions_opened = 0
         self.sessions_closed = 0
@@ -250,15 +255,16 @@ class SessionRegistry:
         self._make_room()
 
         if snapshot is not None:
-            tracker = restore_tracker(snapshot, pool=self.pool)
+            tracker = restore_tracker(snapshot)
         else:
             tracker = self._checkout_tracker(
                 build_config(config),
                 interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS,
             )
         session = Session(
-            name, tracker, self.clock(), recyclable=snapshot is None
+            name, tracker, self.clock(), restored=snapshot is not None
         )
+        self._home(session)
         self._sessions[name] = session
         self.sessions_opened += 1
         self._emit(
@@ -291,20 +297,22 @@ class SessionRegistry:
         Takes the normal admission path — idle sweep, then LRU
         eviction or :class:`ServiceOverloadedError` when full — but
         counts separately from :meth:`open`, since nothing new was
-        created.
+        created. A scalar tracker with the pool's configuration moves
+        onto a pool slot.
         """
         if session.name in self._sessions:
             raise SessionExistsError(
                 f"session {session.name!r} is already open"
             )
         self._make_room()
+        self._home(session)
         self._sessions[session.name] = session
         self.sessions_adopted += 1
         self._emit("session_adopted", session)
         return session
 
     def close(self, name: str) -> Session:
-        """Close a session, recycling its tracker into the free pool.
+        """Close a session, releasing its pool slot (if any).
 
         Closing an evicted-to-disk session works too: the ``resolver``
         hook materializes it just long enough to account for it.
@@ -315,10 +323,10 @@ class SessionRegistry:
         if session is None:
             raise SessionNotFoundError(f"session {name!r} does not exist")
         self.sessions_closed += 1
-        # Emit while the tracker is still live: recycling releases a
-        # pooled tracker's slot, after which its stats are unreadable.
+        # Emit while the tracker is still live: releasing a pooled
+        # tracker's slot makes its stats unreadable.
         self._emit("session_closed", session)
-        self._recycle(session)
+        self._release(session)
         return session
 
     def close_all(self) -> int:
@@ -347,7 +355,7 @@ class SessionRegistry:
                 "session_expired", session, saved=saved,
                 idle_seconds=round(session.idle_seconds(now), 3),
             )
-            self._recycle(session)
+            self._release(session)
         return expired
 
     # -- internals ------------------------------------------------------------
@@ -377,7 +385,7 @@ class SessionRegistry:
         self.sessions_evicted += 1
         saved = self._pre_drop(session, "evicted")
         self._emit("session_evicted", session, saved=saved)
-        self._recycle(session)
+        self._release(session)
 
     def _pre_drop(self, session: Session, reason: str) -> bool:
         """Run the ``on_evict`` hook and bucket the drop as saved /
@@ -409,7 +417,8 @@ class SessionRegistry:
 
     def _hydrate(self, name: str) -> Optional[Session]:
         """Ask the resolver for an evicted-to-disk session and
-        re-install it under the normal admission path."""
+        re-install it under the normal admission path, on a pool slot
+        when its configuration matches the pool's."""
         if self.resolver is None:
             return None
         session = self.resolver(name)
@@ -433,6 +442,7 @@ class SessionRegistry:
                             error=f"{type(error).__name__}: {error}",
                         )
             raise
+        self._home(session)
         self._sessions[name] = session
         self.sessions_hydrated += 1
         self._emit("session_hydrated", session)
@@ -441,54 +451,47 @@ class SessionRegistry:
     def _checkout_tracker(
         self, config: ClassifierConfig, interval_instructions: int
     ) -> PhaseTracker:
-        """Claim a pool slot when the configuration matches; otherwise
-        reuse a freed scalar tracker of the right shape, else build."""
-        if self.pool is not None and self.pool.compatible(config):
-            try:
-                return self.pool.acquire(
-                    interval_instructions=interval_instructions
-                )
-            except PoolError:
-                # Full pool with growth disabled: soft signal, the
-                # scalar path below carries the session instead.
-                pass
-        for index, tracker in enumerate(self._free_trackers):
-            if tracker.classifier.config == config:
-                del self._free_trackers[index]
-                tracker.reset()
-                tracker.interval_instructions = interval_instructions
-                return tracker
+        """A pool slot for the pool's configuration, else a scalar
+        tracker."""
+        if self.pool.compatible(config):
+            return self.pool.acquire(
+                interval_instructions=interval_instructions
+            )
         return PhaseTracker(
             config, interval_instructions=interval_instructions
         )
 
-    def _recycle(self, session: Session) -> None:
+    def _home(self, session: Session) -> None:
+        """Move a scalar tracker with the pool's configuration onto a
+        pool slot — the one place restored trackers (snapshot open,
+        hydrate, crash recovery) join the pool. Called after admission
+        made room, so the slot an eviction just freed is reused."""
         tracker = session.tracker
         if isinstance(tracker, PooledTracker):
-            # Pool slots go back to the pool — never into the scalar
-            # free list (their state lives in the pool's arrays).
+            return
+        if self.pool.compatible(tracker.classifier.config):
+            session.tracker = self.pool.try_adopt(tracker.export_state())
+
+    @staticmethod
+    def _release(session: Session) -> None:
+        tracker = session.tracker
+        if isinstance(tracker, PooledTracker):
             try:
                 tracker.release()
             except PoolError:  # pragma: no cover - already released
                 pass
-            return
-        # Cap the pool at the session cap; beyond that, drop trackers.
-        if session.recyclable and (
-            len(self._free_trackers) < self.max_sessions
-        ):
-            self._free_trackers.append(session.tracker)
 
     def pool_slot(self, session: Session) -> Optional[int]:
         """The pool slot backing ``session``, or ``None``.
 
-        ``None`` means the scalar fallback path owns the session: no
-        pool, a foreign-config scalar tracker, or a stale handle (the
-        slot was released under the facade, e.g. by a mid-round
-        eviction). The ingest coalescer uses this to decide which
-        sessions join the fused structure-of-arrays pass.
+        ``None`` means the session is on the per-session path: a
+        foreign-config scalar tracker, or a stale handle (the slot was
+        released under the facade, e.g. by a mid-round eviction). The
+        ingest coalescer uses this to decide which sessions join the
+        fused structure-of-arrays pass.
         """
         tracker = session.tracker
-        if self.pool is None or not isinstance(tracker, PooledTracker):
+        if not isinstance(tracker, PooledTracker):
             return None
         if tracker.pool is not self.pool:
             return None

@@ -25,7 +25,6 @@ envelope, validation, and tracker reconstruction.
 from __future__ import annotations
 
 import json
-from typing import Optional, TYPE_CHECKING
 
 from repro.core.config import ClassifierConfig
 from repro.core.online import PhaseTracker
@@ -36,10 +35,6 @@ from repro.errors import (
     SnapshotSchemaError,
 )
 from repro.prediction import CHANGE_PREDICTOR_KINDS
-
-if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.core.pool import TrackerPool
-    from repro.telemetry import Telemetry
 
 #: Snapshot document revision; bumped on incompatible state changes.
 SNAPSHOT_VERSION = 1
@@ -85,23 +80,13 @@ def check_schema_version(document: dict) -> int:
     return version
 
 
-def restore_tracker(
-    document: dict,
-    telemetry: "Optional[Telemetry]" = None,
-    pool: "Optional[TrackerPool]" = None,
-) -> PhaseTracker:
-    """Rebuild a tracker from a :func:`snapshot_tracker` document.
+def restore_tracker(document: dict) -> PhaseTracker:
+    """Rebuild a scalar tracker from a :func:`snapshot_tracker` document.
 
     The returned tracker continues exactly where the snapshotted one
     stopped (mid-interval accumulator contents included). Listeners
-    are not part of a snapshot; ``telemetry`` attaches a hub to the
-    restored tracker.
-
-    When ``pool`` is given and no telemetry is requested, the state is
-    adopted into a pool slot first — the restored tracker is then a
-    :class:`~repro.core.pool.PooledTracker` riding the batched hot
-    path. A pool that cannot host the snapshot (configuration
-    mismatch) is a soft signal: the scalar path below is used instead.
+    are not part of a snapshot. The session registry moves a restored
+    tracker onto its pool when the configurations match.
 
     Raises :class:`~repro.errors.SnapshotError` on a malformed
     document and :class:`~repro.errors.SnapshotSchemaError` (a
@@ -113,16 +98,6 @@ def restore_tracker(
     state = document.get("tracker")
     if not isinstance(state, dict):
         raise SnapshotError("snapshot lacks the 'tracker' state object")
-
-    if pool is not None and telemetry is None:
-        try:
-            adopted = pool.try_adopt(state)
-        except (KeyError, IndexError, TypeError, ValueError, ReproError) as error:
-            raise SnapshotError(
-                f"snapshot state is malformed: {error}"
-            ) from None
-        if adopted is not None:
-            return adopted
 
     try:
         config = ClassifierConfig(**state["classifier"]["config"])
@@ -153,7 +128,6 @@ def restore_tracker(
         config,
         interval_instructions=int(state["interval_instructions"]),
         change_predictor=change_predictor,
-        telemetry=telemetry,
     )
     try:
         tracker.restore_state(state)

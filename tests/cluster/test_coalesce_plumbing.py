@@ -45,7 +45,7 @@ def test_cluster_coalesced_reports_match_single_service(tmp_path):
             single = collect(client, "s-ref")
 
     handle = start_cluster_in_thread(
-        workers=2, runtime_dir=str(tmp_path / "run"), pool_slots=8,
+        workers=2, runtime_dir=str(tmp_path / "run")
     )
     try:
         with PhaseServiceClient(port=handle.port) as client:

@@ -51,7 +51,7 @@ def call(base, method, path, body=None):
 
 @pytest.fixture()
 def service():
-    handle = start_in_thread(max_sessions=8, pool_slots=8, http_port=0)
+    handle = start_in_thread(max_sessions=8, http_port=0)
     yield handle
     handle.stop()
 
@@ -406,7 +406,7 @@ class TestCoalescedObserve:
     reports must match the scalar-tracker oracle exactly."""
 
     def test_reports_match_scalar_oracle(self):
-        handle = start_in_thread(max_sessions=8, pool_slots=8, http_port=0)
+        handle = start_in_thread(max_sessions=8, http_port=0)
         base = (
             f"http://{handle.service.http_host}:"
             f"{handle.service.http_port}"
@@ -440,7 +440,7 @@ class TestCoalescedObserve:
         assert diagnostics["coalesce"]["rounds"] >= 1
 
     def test_observe_errors_still_map_to_http_status(self):
-        handle = start_in_thread(max_sessions=4, pool_slots=4, http_port=0)
+        handle = start_in_thread(max_sessions=4, http_port=0)
         base = (
             f"http://{handle.service.http_host}:"
             f"{handle.service.http_port}"

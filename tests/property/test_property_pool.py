@@ -95,32 +95,38 @@ def test_pool_state_identical_to_scalar_trackers(config, seed, rounds):
 def test_pool_survives_evict_hydrate_through_persistence(config, seed):
     """Mid-stream, every session is evicted to disk by the registry's
     idle TTL (checkpointed by the persistence tier, its pool slot
-    released) and hydrated back onto a fresh pool slot on next use; the
-    final states must still be byte-equal to uninterrupted scalars."""
+    released) and hydrated back on next use: default-config sessions
+    onto fresh slots of the registry's pool, the randomly configured
+    one onto a scalar tracker. The final states must still be
+    byte-equal to uninterrupted scalars."""
     clock = [0.0]
     with tempfile.TemporaryDirectory() as data_dir:
-        pool = TrackerPool(capacity=2, config=config)
         registry = SessionRegistry(
             max_sessions=TRACKERS + 1,
             idle_ttl=10.0,
             clock=lambda: clock[0],
-            pool=pool,
         )
+        pool = registry.pool
         manager = PersistenceManager(data_dir, clock=lambda: clock[0])
         manager.install_into(registry)
 
         from dataclasses import asdict
 
         names = [f"s{index}" for index in range(TRACKERS)]
-        for name in names:
+        # The last session is foreign to the pool (the strategy never
+        # draws the paper default); the others share the pool's config.
+        session_configs = [pool.config] * (TRACKERS - 1) + [config]
+        for name, session_config in zip(names, session_configs):
             registry.open(
                 name,
-                config=asdict(config),
+                config=asdict(session_config),
                 interval_instructions=INTERVAL_INSTRUCTIONS,
             )
         scalars = [
-            PhaseTracker(config, interval_instructions=INTERVAL_INSTRUCTIONS)
-            for _ in range(TRACKERS)
+            PhaseTracker(
+                session_config, interval_instructions=INTERVAL_INSTRUCTIONS
+            )
+            for session_config in session_configs
         ]
 
         def feed(round_seed, cpi):
@@ -144,8 +150,9 @@ def test_pool_survives_evict_hydrate_through_persistence(config, seed):
         # Touching the sessions hydrates them back (onto pool slots).
         feed(seed + 1, cpi=0.8)
         assert registry.sessions_hydrated == TRACKERS
-        # Hydration landed the sessions back on pool slots, not scalars.
-        assert pool.active_slots == TRACKERS
+        # Hydration landed the default-config sessions back on pool
+        # slots; the foreign one stays scalar.
+        assert pool.active_slots == TRACKERS - 1
 
         for index, name in enumerate(names):
             assert json.dumps(

@@ -118,7 +118,7 @@ class TestByteIdentity:
             connection_requests(f"s{index}", seed=index, observes=12)
             for index in range(6)
         ]
-        self.compare(plans, max_sessions=16, pool_slots=16)
+        self.compare(plans, max_sessions=16)
 
     def test_persistence_evict_hydrate_churn(self, tmp_path):
         # 8 sessions through a 3-session table: every round mixes
@@ -129,8 +129,7 @@ class TestByteIdentity:
             for index in range(8)
         ]
         self.compare(
-            plans, max_sessions=3, pool_slots=3,
-            data_dir=str(tmp_path / "data"),
+            plans, max_sessions=3, data_dir=str(tmp_path / "data")
         )
 
     def test_foreign_config_fallback_mixed_into_rounds(self):
@@ -144,16 +143,7 @@ class TestByteIdentity:
             )
             for index in range(6)
         ]
-        self.compare(plans, max_sessions=8, pool_slots=8)
-
-    def test_no_pool_still_matches(self):
-        # Without --pool-slots every session falls back to its own
-        # tracker: the scheduler is pure overhead but must stay correct.
-        plans = [
-            connection_requests(f"n{index}", seed=30 + index, observes=6)
-            for index in range(3)
-        ]
-        self.compare(plans, max_sessions=4)
+        self.compare(plans, max_sessions=8)
 
 
 def run_round(service, plan):
@@ -191,8 +181,8 @@ class TestRoundExecutor:
         """
         telemetry = Telemetry()
         service = PhaseService(
-            max_sessions=4, pool_slots=4,
-            data_dir=str(tmp_path / "data"), telemetry=telemetry,
+            max_sessions=4, data_dir=str(tmp_path / "data"),
+            telemetry=telemetry,
         )
         configs = {
             "p0": None, "idle": None, "p1": None, "f": FOREIGN_CONFIG,
@@ -252,6 +242,92 @@ class TestRoundExecutor:
             service.persistence.close()
 
 
+class TestCrashRecoveredSessions:
+    def test_recovered_sessions_rejoin_the_fused_pass(self, tmp_path):
+        """A service rebuilt from a journal that was never cleanly shut
+        down puts its default-config sessions back on pool slots: they
+        count as active slots, their next round is fused (no per-session
+        fallback) and answers like the scalar oracle. The recovered
+        foreign-config session stays a scalar tracker."""
+        from repro.core import PhaseTracker
+        from repro.core.pool import PooledTracker
+
+        data_dir = str(tmp_path / "data")
+        configs = {"p0": None, "p1": None, "f": FOREIGN_CONFIG}
+        opens = []
+        for index, (name, config) in enumerate(configs.items()):
+            opens.append({
+                "op": "open", "id": index, "session": name,
+                "interval_instructions": 2_000,
+            })
+            if config is not None:
+                opens[-1]["config"] = config
+        streams = {
+            name: iter(observe_plan(seed=80 + index, observes=6))
+            for index, name in enumerate(configs)
+        }
+        next_id = iter(range(100, 1_000))
+
+        def observes(names):
+            plan = []
+            for name in names:
+                pcs, counts, cpi = next(streams[name])
+                plan.append({
+                    "op": "observe", "id": next(next_id), "session": name,
+                    "pcs": pcs, "counts": counts, "cpi": cpi,
+                })
+            return plan
+
+        before = observes(["p0", "f", "p1"] * 3)
+        pooled_round = observes(["p1", "p0"] * 2)
+        foreign_round = observes(["f"])
+        expected = replay(opens + before + pooled_round + foreign_round)
+
+        crashed = PhaseService(max_sessions=8, data_dir=data_dir)
+        for request in opens:
+            crashed._execute(protocol.OpenRequest(
+                id=request["id"], session=request["session"],
+                config=request.get("config"),
+                interval_instructions=2_000, snapshot=None,
+            ))
+        run_round(crashed, before)
+        # No shutdown: no final checkpoint, the journal is all a
+        # restart has.
+
+        telemetry = Telemetry()
+        service = PhaseService(
+            max_sessions=8, data_dir=data_dir, telemetry=telemetry,
+        )
+
+        def fallbacks():
+            metrics = parse_prometheus_text(telemetry.render_metrics())
+            return metrics["repro_service_coalesce_fallbacks_total"]
+
+        try:
+            assert service.sessions_recovered == 3
+            registry = service.registry
+            for name in ("p0", "p1"):
+                session = registry.get(name)
+                assert isinstance(session.tracker, PooledTracker)
+                assert registry.pool_slot(session) is not None
+            foreign = registry.get("f")
+            assert type(foreign.tracker) is PhaseTracker
+            assert registry.pool_slot(foreign) is None
+            assert service.diagnostics()["pool"]["active_slots"] == 2
+
+            done = len(opens) + len(before)
+            answers = run_round(service, pooled_round)
+            assert answers == expected[done:done + len(pooled_round)]
+            assert fallbacks() == 0
+
+            answers = run_round(service, foreign_round)
+            assert answers == expected[done + len(pooled_round):]
+            assert fallbacks() == 1
+        finally:
+            service.persistence.close()
+            crashed.persistence.close()
+
+
 async def observe_now(service, request):
     return await asyncio.wait_for(
         service.execute_observe(request), timeout=5
@@ -260,7 +336,7 @@ async def observe_now(service, request):
 
 class TestShutdown:
     def test_execute_observe_without_scheduler_is_refused(self):
-        handle = start_in_thread(max_sessions=4, pool_slots=4)
+        handle = start_in_thread(max_sessions=4)
         with PhaseServiceClient(port=handle.port) as client:
             client.open_session(session="late", interval_instructions=2_000)
         handle.stop()
@@ -282,7 +358,7 @@ class TestOrdering:
             connection_requests(f"o{index}", seed=40 + index, observes=12)
             for index in range(5)
         ]
-        handle = start_in_thread(max_sessions=8, pool_slots=8)
+        handle = start_in_thread(max_sessions=8)
         try:
             streams = drive(handle.port, plans)
         finally:
@@ -324,7 +400,7 @@ class TestOrdering:
             "op": "snapshot", "id": 100, "session": session,
         }
         plan = plan[:5] + [snapshot_request] + plan[5:]
-        handle = start_in_thread(max_sessions=4, pool_slots=4)
+        handle = start_in_thread(max_sessions=4)
         try:
             (stream,) = drive(handle.port, [plan])
         finally:
@@ -336,7 +412,7 @@ class TestOrdering:
 class TestDiagnostics:
     def test_coalesce_section_reports_scheduler_stats(self):
         plans = [connection_requests("diag", seed=60, observes=5)]
-        handle = start_in_thread(max_sessions=4, pool_slots=4)
+        handle = start_in_thread(max_sessions=4)
         try:
             drive(handle.port, plans)
             diagnostics = handle.service.diagnostics()
@@ -352,8 +428,7 @@ class TestDiagnostics:
         assert section["pending"] == 0
 
     def test_section_present_without_pool(self):
-        # Every service coalesces, pool or not: the section is always
-        # there, zeroed before any observe.
+        # The section is always there, zeroed before any observe.
         handle = start_in_thread(max_sessions=4)
         try:
             section = handle.service.diagnostics()["coalesce"]

@@ -127,11 +127,11 @@ class TestRecycling:
     def test_closed_tracker_is_reused_for_matching_config(self):
         registry = SessionRegistry()
         first = registry.open(name="a", interval_instructions=1000)
-        tracker = first.tracker
-        tracker.observe_batch([4096] * 5, [300] * 5, cpi=1.0)
+        slot = registry.pool_slot(first)
+        first.tracker.observe_batch([4096] * 5, [300] * 5, cpi=1.0)
         registry.close("a")
         second = registry.open(name="b", interval_instructions=2000)
-        assert second.tracker is tracker               # pooled, not rebuilt
+        assert registry.pool_slot(second) == slot      # the freed slot
         assert second.tracker.intervals_observed == 0  # and reset
         assert second.tracker.instructions_into_interval == 0
         assert second.tracker.interval_instructions == 2000
@@ -143,7 +143,7 @@ class TestRecycling:
         second = registry.open(name="b", config={"num_counters": 64})
         assert second.tracker is not first.tracker
 
-    def test_restored_sessions_never_enter_the_pool(self):
+    def test_restored_sessions_are_flagged_and_pooled(self):
         source = PhaseTracker(
             ClassifierConfig.paper_default(), interval_instructions=1000
         )
@@ -151,11 +151,10 @@ class TestRecycling:
         restored = registry.open(
             name="r", snapshot=snapshot_tracker(source)
         )
-        assert not restored.recyclable
-        tracker = restored.tracker
-        registry.close("r")
+        assert restored.restored
+        assert registry.pool_slot(restored) is not None
         fresh = registry.open(name="f", interval_instructions=1000)
-        assert fresh.tracker is not tracker
+        assert not fresh.restored
 
 
 class TestTelemetry:
@@ -283,7 +282,7 @@ class TestReclamationHooks:
         def resolver(name):
             if name != "phoenix":
                 return None
-            session = Session(name, PhaseTracker(), 0.0, recyclable=False)
+            session = Session(name, PhaseTracker(), 0.0, restored=True)
             made.append(session)
             return session
 
@@ -304,7 +303,7 @@ class TestReclamationHooks:
         registry = SessionRegistry(
             max_sessions=1,
             resolver=lambda name: Session(
-                name, PhaseTracker(), 0.0, recyclable=False
+                name, PhaseTracker(), 0.0, restored=True
             ),
         )
         registry.open(name="a")
@@ -317,7 +316,7 @@ class TestReclamationHooks:
 
         shelf = {
             "phoenix": Session(
-                "phoenix", PhaseTracker(), 0.0, recyclable=False
+                "phoenix", PhaseTracker(), 0.0, restored=True
             )
         }
         returned = []
@@ -340,7 +339,7 @@ class TestReclamationHooks:
         registry = SessionRegistry(
             max_sessions=4,
             resolver=lambda name: Session(
-                name, PhaseTracker(), 0.0, recyclable=False
+                name, PhaseTracker(), 0.0, restored=True
             ),
         )
         closed = registry.close("phoenix")
