@@ -15,15 +15,23 @@ Proxy design, in order of importance:
   The dispatcher never re-serializes a report, which is what makes the
   byte-for-byte identity guarantee cheap to keep — and keeps the single
   dispatcher process out of the JSON-parsing business on the hot path.
-  Lines the regex cannot take (escaped session names, anonymous opens)
-  fall back to a full parse.
+  Lines the regex cannot take (keys in another order, escaped session
+  names) are parsed to find their route, then forwarded as sent.
+- **Pipelined hop.** Each client cycle drains every request already
+  queued. A run of consecutive routable requests goes out with one
+  write per worker channel, and each channel's responses are read back
+  in order; opens, dispatcher-local ops and bad lines are barriers
+  between runs. The cycle's pushes and responses return to the client
+  in request order in one write. A worker therefore sees a client's
+  whole batch at once, so its coalesced rounds fill up just as they do
+  behind a single-process service.
 - **Per-(client, worker) channels.** Each client connection gets its
   own Unix-socket channel to each worker it talks to. The worker sees
   one connection per client, so per-connection request ordering and
   request-id uniqueness hold exactly as they would single-process, and
   the worker's bounded ingest queue backpressures that client alone.
-  Responses need no id matching: a channel is used sequentially, so the
-  first non-push line *is* the response.
+  Responses need no id matching: a worker answers a connection in
+  request order, so the k-th non-push line *is* the k-th response.
 - **Routing table over hash.** ``shard_of(session)`` → rendezvous
   owner decides where a session *opens*; from then on the dispatcher's
   session table is authoritative. Migration flips the table entry, so
@@ -32,9 +40,9 @@ Proxy design, in order of importance:
 - **Supervised workers.** A health loop notices crashed workers and
   restarts them on the same socket and data dir; channels reconnect
   with a bounded retry window, so a mid-restart request waits instead
-  of failing. Read-only ops are resent after a reconnect; mutating ops
-  whose connection died after the send fail with error code
-  ``cluster`` (their fate on the worker is unknown).
+  of failing. After a lost connection only requests whose response was
+  not read are retried: read-only ops are resent, and mutating ops fail
+  with error code ``cluster`` (their fate on the worker is unknown).
 
 Migration itself lives in :mod:`repro.cluster.migration`.
 """
@@ -46,7 +54,9 @@ import itertools
 import re
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import (
     ClusterError,
@@ -84,14 +94,23 @@ _PUSH_PREFIX = b'{"push"'
 _NOT_FOUND_MARKER = b'"code":"session_not_found"'
 
 
+#: What answers one forwarded line: ``(push_lines, response_line)``,
+#: or the :class:`ClusterError` that stands in for a lost response.
+_Reply = Union[Tuple[List[bytes], bytes], ClusterError]
+
+#: Ops safe to send twice: they read session state without changing it.
+_RESENDABLE = frozenset(("predict", "snapshot"))
+
+
 class _WorkerChannel:
     """One Unix-socket connection from the dispatcher to a worker.
 
-    Used strictly sequentially (guarded by a lock): send one line, read
-    pushes until the response line. Reconnects transparently inside a
-    bounded retry window, which is what rides out a supervised worker
-    restart. ``resendable`` exchanges may be re-sent after a mid-read
-    disconnect; others fail with :class:`ClusterError` because the
+    One exchange at a time (guarded by a lock): write a batch of lines,
+    read each one's pushes and response in order. Reconnects
+    transparently inside a bounded retry window, which is what rides
+    out a supervised worker restart. After a lost connection only lines
+    whose response was not read are retried: ``resendable`` ones are
+    sent again; the others fail with :class:`ClusterError` because the
     worker may already have executed them.
     """
 
@@ -150,53 +169,73 @@ class _WorkerChannel:
                 await asyncio.sleep(0.1)
 
     async def exchange(
-        self, raw_line: bytes, resendable: bool
-    ) -> Tuple[List[bytes], bytes]:
-        """Send one request line; returns ``(push_lines, response_line)``."""
+        self,
+        lines: Sequence[bytes],
+        resendable: Sequence[bool],
+        deliver: Callable[[int, _Reply], None],
+    ) -> None:
+        """Send ``lines`` in one write, then read their replies in order.
+
+        ``deliver(index, reply)`` runs exactly once per line, as soon
+        as that line's reply is known: ``(push_lines, response_line)``,
+        or the :class:`ClusterError` that answers it.
+        """
+        unread = list(range(len(lines)))
         async with self._lock:
             deadline = time.monotonic() + self.retry_window
-            while True:
+            while unread:
                 try:
                     await self._ensure_connected(deadline)
-                    assert self._writer is not None
-                    self._writer.write(raw_line)
-                    await self._writer.drain()
-                    sent = True
-                except ClusterError:
-                    raise
-                except (OSError, ConnectionError) as error:
-                    # The send did not complete: a resend is safe for
-                    # everyone... unless the drain failure left the
-                    # line's fate ambiguous for a mutating op.
-                    self.drop()
-                    if not resendable or time.monotonic() >= deadline:
-                        raise ClusterError(
-                            f"connection to worker {self.worker_id} "
-                            f"failed while sending: {error}"
-                        ) from None
-                    await asyncio.sleep(0.1)
-                    continue
+                except ClusterError as error:
+                    for index in unread:
+                        deliver(index, error)
+                    return
+                assert self._reader is not None and self._writer is not None
+                read = 0
                 try:
-                    pushes: List[bytes] = []
-                    assert self._reader is not None
-                    while True:
+                    self._writer.write(b"".join([lines[i] for i in unread]))
+                    await self._writer.drain()
+                    for index in unread:
+                        pushes: List[bytes] = []
                         line = await self._reader.readline()
+                        while line.startswith(_PUSH_PREFIX):
+                            pushes.append(line)
+                            line = await self._reader.readline()
                         if not line:
                             raise ConnectionError("EOF from worker")
-                        if line.startswith(_PUSH_PREFIX):
-                            pushes.append(line)
-                            continue
-                        return pushes, line
+                        read += 1
+                        deliver(index, (pushes, line))
+                    return
                 except (OSError, ConnectionError, ValueError) as error:
                     self.drop()
-                    if resendable and time.monotonic() < deadline:
-                        await asyncio.sleep(0.1)
-                        continue
-                    raise ClusterError(
+                    lost = ClusterError(
                         f"connection to worker {self.worker_id} lost "
                         f"mid-request ({error}); the request's fate on "
                         f"the worker is unknown"
-                    ) from None
+                    )
+                retry = time.monotonic() < deadline
+                remaining = []
+                for index in unread[read:]:
+                    if retry and resendable[index]:
+                        remaining.append(index)
+                    else:
+                        deliver(index, lost)
+                unread = remaining
+                if unread:
+                    await asyncio.sleep(0.1)
+
+    async def exchange_one(
+        self, line: bytes, resendable: bool
+    ) -> Tuple[List[bytes], bytes]:
+        """The one-line :meth:`exchange`; raises a lost reply's error."""
+        replies: List[_Reply] = []
+        await self.exchange(
+            [line], [resendable], lambda _, reply: replies.append(reply)
+        )
+        (reply,) = replies
+        if isinstance(reply, ClusterError):
+            raise reply
+        return reply
 
     async def request(
         self, request: protocol.Request, resendable: bool = False
@@ -204,7 +243,7 @@ class _WorkerChannel:
         """Control-plane convenience: send a typed request, return the
         ``result`` dict, raising the typed exception on refusal."""
         raw = protocol.encode(protocol.request_payload(request))
-        _, line = await self.exchange(raw, resendable=resendable)
+        _, line = await self.exchange_one(raw, resendable)
         message = protocol.parse_server_message(line)
         assert isinstance(message, protocol.Response)
         message.raise_for_error()
@@ -716,6 +755,8 @@ class ClusterDispatcher:
         ``("open", request)``, ``("local", request)`` for ops the
         dispatcher answers itself, or ``("bad", id, error)``.
         """
+        if not line.endswith(b"\n"):
+            line += b"\n"  # a last line cut off by EOF
         match = _FAST_ROUTE.match(line)
         if match is not None:
             op = match.group(1).decode("ascii")
@@ -736,101 +777,172 @@ class ClusterDispatcher:
             return ("local", request)
         if isinstance(request, protocol.OpenRequest):
             return ("open", request)
-        # A routable op the regex could not take (e.g. an escaped
-        # session name): re-encode canonically and forward that.
-        raw = protocol.encode(protocol.request_payload(request))
-        return ("fwd", raw, request.id, request.op, request.session)
+        # A routable op the regex could not take (keys in another
+        # order, an escaped session name): forward the line as sent.
+        return ("fwd", line, request.id, request.op, request.session)
 
     async def _work_loop(self, connection: _ClientConnection) -> None:
+        """Answer queued requests; the only writer on this socket.
+
+        Each cycle drains everything already queued, as
+        ``PhaseService._work_loop`` does. Consecutive routable requests
+        go to the workers pipelined (:meth:`_forward_run`); opens,
+        dispatcher-local ops and bad lines are barriers answered one at
+        a time. The cycle's pushes and responses leave in request order
+        in one ``writer.write``.
+        """
         while True:
             item = await connection.queue.get()
             if item is None:
                 break
-            self.requests_served += 1
+            batch = [item]
+            while batch[-1] is not None:
+                try:
+                    batch.append(connection.queue.get_nowait())
+                except asyncio.QueueEmpty:
+                    break
+            stop = batch[-1] is None
+            if stop:
+                batch.pop()
+            self.requests_served += len(batch)
             if self._telemetry is not None:
-                self._m_requests.inc()
-            request_id: Optional[int] = None
-            try:
-                kind = item[0]
-                if kind == "bad":
-                    _, request_id, error = item
-                    raise error
-                if kind == "local":
-                    request = item[1]
-                    request_id = request.id
-                    result = await self._execute_local(request)
-                    payloads = [
-                        protocol.encode(
-                            protocol.ok_response(request.id, result)
-                        )
-                    ]
-                elif kind == "open":
-                    request = item[1]
-                    request_id = request.id
-                    payloads = await self._handle_open(connection, request)
-                else:
-                    _, raw, request_id, op, session = item
-                    payloads = await self._forward(
-                        connection, raw, request_id, op, session
+                self._m_requests.inc(len(batch))
+            chunks: List[bytes] = []
+            start = 0
+            while start < len(batch):
+                if batch[start][0] != "fwd":
+                    chunks += await self._answer_barrier(
+                        connection, batch[start]
                     )
-            except ReproError as error:
-                self.errors_returned += 1
-                if self._telemetry is not None:
-                    self._m_errors.inc()
-                payloads = [protocol.encode(protocol.error_response(
-                    request_id if request_id is not None else -1,
-                    protocol.error_code_for(error),
-                    str(error),
-                ))]
-            except Exception as error:  # pragma: no cover - defensive
-                self.errors_returned += 1
-                if self._telemetry is not None:
-                    self._m_errors.inc()
-                payloads = [protocol.encode(protocol.error_response(
-                    request_id if request_id is not None else -1,
-                    "internal",
-                    f"{type(error).__name__}: {error}",
-                ))]
+                    start += 1
+                    continue
+                end = start + 1
+                while end < len(batch) and batch[end][0] == "fwd":
+                    end += 1
+                start += await self._forward_run(
+                    connection, batch[start:end], chunks
+                )
             try:
-                for payload in payloads:
-                    connection.writer.write(payload)
+                connection.writer.write(b"".join(chunks))
                 await connection.writer.drain()
             except (ConnectionError, RuntimeError):
                 break
+            if stop:
+                break
+
+    def _error_line(
+        self, request_id: Optional[int], error: Exception
+    ) -> bytes:
+        self.errors_returned += 1
+        if self._telemetry is not None:
+            self._m_errors.inc()
+        if isinstance(error, ReproError):
+            code, message = protocol.error_code_for(error), str(error)
+        else:  # pragma: no cover - defensive
+            code, message = "internal", f"{type(error).__name__}: {error}"
+        return protocol.encode(protocol.error_response(
+            request_id if request_id is not None else -1, code, message
+        ))
+
+    def _hold(self, session: str) -> None:
+        """Count one request to ``session`` as in flight; a migration's
+        quiesce waits for the count to drop to zero."""
+        self._inflight[session] = self._inflight.get(session, 0) + 1
+
+    def _release(self, session: str) -> None:
+        remaining = self._inflight.get(session, 1) - 1
+        if remaining:
+            self._inflight[session] = remaining
+        else:
+            self._inflight.pop(session, None)
+
+    async def _answer_barrier(
+        self, connection: _ClientConnection, item: tuple
+    ) -> List[bytes]:
+        """Answer one ``open``, ``local`` or ``bad`` queue item."""
+        if item[0] == "bad":
+            return [self._error_line(item[1], item[2])]
+        request = item[1]
+        try:
+            if item[0] == "open":
+                return await self._handle_open(connection, request)
+            result = await self._execute_local(request)
+        except Exception as error:
+            return [self._error_line(request.id, error)]
+        return [protocol.encode(protocol.ok_response(request.id, result))]
 
     # -- request execution -----------------------------------------------------
 
-    async def _forward(
+    async def _forward_run(
         self,
         connection: _ClientConnection,
-        raw: bytes,
-        request_id: int,
-        op: str,
-        session: str,
-    ) -> List[bytes]:
-        await self._gate_wait(session)
-        worker_id = self.route(session)
-        channel = self._client_channel(connection, worker_id)
-        resendable = op in ("predict", "snapshot")
-        self._inflight[session] = self._inflight.get(session, 0) + 1
-        try:
-            pushes, response = await channel.exchange(raw, resendable)
-        finally:
-            remaining = self._inflight.get(session, 1) - 1
-            if remaining:
-                self._inflight[session] = remaining
-            else:
-                self._inflight.pop(session, None)
-        if op == "close" and response.startswith(b'{"id":') and (
-            b'"ok":true' in response
+        items: List[tuple],
+        chunks: List[bytes],
+    ) -> int:
+        """Forward a prefix of ``items`` (``fwd`` queue items) pipelined
+        and append their answers to ``chunks`` in request order; returns
+        how many items it took.
+
+        Each request waits out its session's migration gate, is routed
+        and counts as in flight until its response is read. A closed
+        gate ends the run once anything is counted: the counted part is
+        sent before waiting, so it never stalls that migration's
+        quiesce — nor another session's.
+        """
+        replies: List[Optional[object]] = [None] * len(items)
+        groups: Dict[_WorkerChannel, List[int]] = {}
+        taken = 0
+        for _, _, _, _, session in items:
+            if session in self._gates:
+                if groups:
+                    break
+                await self._gate_wait(session)
+            index, taken = taken, taken + 1
+            try:
+                channel = self._client_channel(
+                    connection, self.route(session)
+                )
+            except ReproError as error:
+                replies[index] = error
+                continue
+            self._hold(session)
+            groups.setdefault(channel, []).append(index)
+
+        def deliver(index: int, reply: object) -> None:
+            replies[index] = reply
+            self._release(items[index][4])
+
+        exchanges = [
+            channel.exchange(
+                [items[index][1] for index in indexes],
+                [items[index][3] in _RESENDABLE for index in indexes],
+                lambda at, reply, indexes=indexes: deliver(
+                    indexes[at], reply
+                ),
+            )
+            for channel, indexes in groups.items()
+        ]
+        await asyncio.gather(*exchanges)
+
+        for (_, _, request_id, op, session), reply in zip(
+            items[:taken], replies
         ):
-            self._sessions.pop(session, None)
-        elif _NOT_FOUND_MARKER in response:
-            # The worker no longer knows the session (evicted without
-            # persistence, or a RAM-only worker restarted): drop the
-            # stale route so a future open hashes fresh.
-            self._sessions.pop(session, None)
-        return pushes + [response]
+            if isinstance(reply, Exception):
+                chunks.append(self._error_line(request_id, reply))
+                continue
+            pushes, response = reply
+            if op == "close" and response.startswith(b'{"id":') and (
+                b'"ok":true' in response
+            ):
+                self._sessions.pop(session, None)
+            elif _NOT_FOUND_MARKER in response:
+                # The worker no longer knows the session (evicted
+                # without persistence, or a RAM-only worker restarted):
+                # drop the stale route so a future open hashes fresh.
+                self._sessions.pop(session, None)
+            chunks += pushes
+            chunks.append(response)
+        return taken
 
     async def _handle_open(
         self, connection: _ClientConnection, request: protocol.OpenRequest
@@ -855,15 +967,11 @@ class ClusterDispatcher:
         worker_id = self.route(session)
         channel = self._client_channel(connection, worker_id)
         raw = protocol.encode(protocol.request_payload(request))
-        self._inflight[session] = self._inflight.get(session, 0) + 1
+        self._hold(session)
         try:
-            pushes, response = await channel.exchange(raw, resendable=False)
+            pushes, response = await channel.exchange_one(raw, False)
         finally:
-            remaining = self._inflight.get(session, 1) - 1
-            if remaining:
-                self._inflight[session] = remaining
-            else:
-                self._inflight.pop(session, None)
+            self._release(session)
         if response.startswith(b'{"id":') and b'"ok":true' in response:
             self._sessions[session] = worker_id
         return pushes + [response]

@@ -39,6 +39,7 @@ refusal as a typed exception distinct from any transport failure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Type, Union
 
@@ -340,24 +341,62 @@ def _require_session(payload: dict) -> str:
     return session
 
 
-def _int_list(
-    payload: dict, name: str, minimum: Optional[int] = None
-) -> List[int]:
+#: Largest pc or instruction count: the tracker holds both in int64.
+_MAX_INT64 = 2**63 - 1
+
+_INT_TYPES = frozenset((int,))
+
+
+def _int_list(payload: dict, name: str) -> List[int]:
+    """``payload[name]`` checked as a list of ints in ``[0, 2**63 - 1]``.
+
+    ``type`` rather than ``isinstance`` keeps bools out, and the range
+    check is two C-level scans (``min``/``max``): observes carry
+    thousands of values, so no per-value Python code runs here.
+    """
     values = payload.get(name)
-    if not isinstance(values, list):
+    if not isinstance(values, list) or not set(map(type, values)) <= (
+        _INT_TYPES
+    ):
         raise ProtocolError(f"observe '{name}' must be a list of integers")
-    out = []
-    for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ProtocolError(
-                f"observe '{name}' must be a list of integers"
-            )
-        if minimum is not None and value < minimum:
-            raise ProtocolError(
-                f"observe '{name}' values must be >= {minimum}"
-            )
-        out.append(value)
-    return out
+    if values and (min(values) < 0 or max(values) > _MAX_INT64):
+        raise ProtocolError(
+            f"observe '{name}' values must lie in [0, {_MAX_INT64}]"
+        )
+    return values
+
+
+def observe_request(
+    request_id: int, session: str, payload: dict
+) -> ObserveRequest:
+    """Validate an observe's ``pcs``, ``counts`` and ``cpi`` fields.
+
+    The one observe validator: NDJSON ``observe`` lines and the HTTP
+    observe-batch body both go through it, so every value a round
+    ingests fits the tracker's int64 arrays and every CPI is a finite
+    positive number.
+    """
+    pcs = _int_list(payload, "pcs")
+    counts = _int_list(payload, "counts")
+    if len(pcs) != len(counts):
+        raise ProtocolError(
+            f"observe 'pcs' and 'counts' must be parallel arrays: "
+            f"{len(pcs)} vs {len(counts)}"
+        )
+    cpi = payload.get("cpi", 1.0)
+    if type(cpi) not in (int, float):
+        raise ProtocolError("observe 'cpi' must be a positive number")
+    try:
+        cpi = float(cpi)
+    except OverflowError:
+        cpi = math.inf
+    if not 0.0 < cpi < math.inf:  # NaN fails both comparisons
+        raise ProtocolError(
+            "observe 'cpi' must be a finite positive number"
+        )
+    return ObserveRequest(
+        id=request_id, session=session, pcs=pcs, counts=counts, cpi=cpi
+    )
 
 
 def parse_request(line: Union[str, bytes]) -> Request:
@@ -416,25 +455,7 @@ def parse_request(line: Union[str, bytes]) -> Request:
             snapshot=snapshot,
         )
     if op == "observe":
-        pcs = _int_list(payload, "pcs", minimum=0)
-        counts = _int_list(payload, "counts", minimum=0)
-        if len(pcs) != len(counts):
-            raise ProtocolError(
-                f"observe 'pcs' and 'counts' must be parallel arrays: "
-                f"{len(pcs)} vs {len(counts)}"
-            )
-        cpi = payload.get("cpi", 1.0)
-        if not isinstance(cpi, (int, float)) or isinstance(cpi, bool) or (
-            cpi <= 0
-        ):
-            raise ProtocolError("observe 'cpi' must be a positive number")
-        return ObserveRequest(
-            id=request_id,
-            session=_require_session(payload),
-            pcs=pcs,
-            counts=counts,
-            cpi=float(cpi),
-        )
+        return observe_request(request_id, _require_session(payload), payload)
     if op == "cluster":
         action = payload.get("action")
         if not isinstance(action, str) or not action:

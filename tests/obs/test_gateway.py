@@ -189,6 +189,12 @@ class TestSessionRoutes:
             {"pcs": [1.5], "counts": [1]},            # non-int entries
             {"pcs": [True], "counts": [1]},           # bools are not ints
             {"pcs": [1], "counts": [1], "cpi": "x"},  # non-numeric cpi
+            {"pcs": [1], "counts": [-5]},             # negative count
+            {"pcs": [-4], "counts": [1]},             # negative pc
+            {"pcs": [2**63], "counts": [1]},          # beyond int64
+            {"pcs": [1], "counts": [1], "cpi": 0},
+            {"pcs": [1], "counts": [1], "cpi": -1},
+            {"pcs": [1], "counts": [1], "cpi": float("nan")},
         ):
             status, body = call(
                 base, "POST", "/v1/sessions/v/observe-batch", bad

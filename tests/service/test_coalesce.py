@@ -11,7 +11,9 @@ import json
 import socket
 
 import numpy as np
+import pytest
 
+from repro.errors import ProtocolError
 from repro.service import PhaseServiceClient, protocol
 from repro.service.coalesce import Submission
 from repro.service.server import PhaseService, start_in_thread
@@ -332,6 +334,42 @@ async def observe_now(service, request):
     return await asyncio.wait_for(
         service.execute_observe(request), timeout=5
     )
+
+
+class TestHostileObserve:
+    def test_out_of_range_observe_fails_alone(self):
+        """Pipelined observes share rounds across sessions and
+        connections, so an observe whose values cannot be ingested must
+        be refused on its own (``protocol``) before it joins a round;
+        every other observe still matches the oracle."""
+        valid = connection_requests("va", seed=80, observes=8)
+        hostile_plan = connection_requests("hb", seed=81, observes=8)
+        hostile = dict(hostile_plan[4])
+        hostile["pcs"] = [hostile["pcs"][0], 2**64]
+        hostile["counts"] = hostile["counts"][:2]
+        hostile_plan[4] = hostile
+        (stream_a, stream_b), stats = run_workload(
+            [valid, hostile_plan], max_sessions=8
+        )
+        assert stream_a == expected_stream(valid)
+
+        with pytest.raises(ProtocolError) as refused:
+            protocol.parse_request(json.dumps(hostile))
+        refusal = protocol.encode(protocol.error_response(
+            hostile["id"], "protocol", str(refused.value)
+        ))
+        answers = replay(hostile_plan[:4] + hostile_plan[5:])
+        expected_b = b"".join(
+            protocol.encode(payload)
+            for payloads in answers[:4] for payload in payloads
+        ) + refusal + b"".join(
+            protocol.encode(payload)
+            for payloads in answers[4:] for payload in payloads
+        )
+        assert stream_b == expected_b
+        assert b'"code":"internal"' not in stream_a + stream_b
+        assert stats["requests"] == observe_count([valid, hostile_plan]) - 1
+        assert stats["rounds"] < stats["requests"]
 
 
 class TestShutdown:

@@ -78,6 +78,13 @@ class TestParseRequest:
         {"pcs": "xs", "counts": [3]},            # not a list
         {"pcs": [4], "counts": [3], "cpi": 0},   # non-positive cpi
         {"pcs": [4], "counts": [3], "cpi": True},
+        {"pcs": [2**64], "counts": [3]},         # beyond int64
+        {"pcs": [2**63], "counts": [3]},
+        {"pcs": [4], "counts": [2**63]},
+        {"pcs": [4, None], "counts": [3, 3]},    # null entry
+        {"pcs": [4], "counts": [3], "cpi": float("nan")},
+        {"pcs": [4], "counts": [3], "cpi": float("inf")},
+        {"pcs": [4], "counts": [3], "cpi": 10**400},  # overflows float
     ])
     def test_observe_validation(self, mutation):
         payload = {"op": "observe", "id": 6, "session": "s1",
@@ -85,6 +92,23 @@ class TestParseRequest:
         payload.update(mutation)
         with pytest.raises(ProtocolError):
             protocol.parse_request(encode_line(payload))
+
+    @pytest.mark.parametrize("cpi", [b"NaN", b"Infinity", b"-Infinity",
+                                     b"1e999"])
+    def test_observe_refuses_non_finite_cpi_literals(self, cpi):
+        line = (b'{"op":"observe","id":6,"session":"s1","pcs":[4],'
+                b'"counts":[4],"cpi":' + cpi + b'}')
+        with pytest.raises(ProtocolError):
+            protocol.parse_request(line)
+
+    def test_observe_accepts_the_int64_edges(self):
+        request = protocol.parse_request(encode_line({
+            "op": "observe", "id": 7, "session": "s1",
+            "pcs": [0, 2**63 - 1], "counts": [2**63 - 1, 0], "cpi": 3,
+        }))
+        assert request.pcs == [0, 2**63 - 1]
+        assert request.counts == [2**63 - 1, 0]
+        assert request.cpi == 3.0 and type(request.cpi) is float
 
     @pytest.mark.parametrize("line", [
         b"not json\n",
