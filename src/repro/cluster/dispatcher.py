@@ -4,7 +4,9 @@
 proxies every session operation to the worker that owns the session.
 Clients speak the exact same protocol as against a single
 :class:`~repro.service.server.PhaseService` — the cluster is invisible
-except for the extra ``cluster`` control-plane op.
+except for the extra ``cluster`` control-plane op. Both run the same
+connection shell, :class:`~repro.service.frontend.FrontEnd`; this
+module supplies how a line is routed and how a batch is answered.
 
 Proxy design, in order of importance:
 
@@ -52,29 +54,17 @@ from __future__ import annotations
 import asyncio
 import itertools
 import re
-import threading
 import time
 from typing import (
     Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.errors import (
-    ClusterError,
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    ServiceUnavailableError,
-)
+from repro.errors import ClusterError, ConfigurationError, ReproError
 from repro.service import protocol
+from repro.service.frontend import Connection, FrontEnd, ServiceHandle
 from repro.cluster.migration import SessionMigrator
 from repro.cluster.routing import DEFAULT_SHARDS, ShardMap
-from repro.cluster.supervisor import (
-    ClusterSupervisor,
-    DOWN,
-    STOPPED,
-    UP,
-    WorkerHandle,
-)
+from repro.cluster.supervisor import ClusterSupervisor, UP, WorkerHandle
 
 #: Fast-path router: matches the canonical wire prefix our encoder (and
 #: the bundled client) emits — ``op``, ``id``, ``session`` first, with a
@@ -250,23 +240,7 @@ class _WorkerChannel:
         return message.result
 
 
-class _ClientConnection:
-    """Dispatcher-side state for one public TCP client."""
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        queue_size: int,
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=queue_size)
-        self.tasks: List["asyncio.Task"] = []
-        self.channels: Dict[str, _WorkerChannel] = {}
-
-
-class ClusterDispatcher:
+class ClusterDispatcher(FrontEnd):
     """The public endpoint of a sharded multi-process phase service.
 
     Parameters mirror :class:`~repro.service.server.PhaseService` where
@@ -310,21 +284,19 @@ class ClusterDispatcher:
                 f"workers ({workers}) cannot exceed num_shards "
                 f"({num_shards}); extra workers would own no shards"
             )
-        if http_port is not None and telemetry is None:
-            from repro.telemetry import Telemetry as _Telemetry
-
-            telemetry = _Telemetry()
-        self.host = host
-        self.port = port
-        self.http_host = http_host if http_host is not None else host
-        self.http_port = http_port
+        super().__init__(
+            host, port,
+            max_connections=max_connections,
+            queue_size=queue_size,
+            drain_timeout=drain_timeout,
+            telemetry=telemetry,
+            http_host=http_host,
+            http_port=http_port,
+        )
+        telemetry = self._telemetry
         self.initial_workers = workers
-        self.queue_size = queue_size
-        self.max_connections = max_connections
-        self.drain_timeout = drain_timeout
         self.retry_window = retry_window
         self.migration_timeout = migration_timeout
-        self._telemetry = telemetry
         self.supervisor = ClusterSupervisor(
             runtime_dir,
             data_root=data_root,
@@ -348,22 +320,12 @@ class ClusterDispatcher:
         # session -> requests currently executing on a worker.
         self._inflight: Dict[str, int] = {}
         self._control: Dict[str, _WorkerChannel] = {}
+        # Each client connection's own channel to each worker it uses.
+        self._channels: Dict[Connection, Dict[str, _WorkerChannel]] = {}
         self._restarting: set = set()
-        self._connections: Dict[int, _ClientConnection] = {}
         self._names = itertools.count(1)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._health_task: Optional["asyncio.Task"] = None
-        self._drain_task: Optional["asyncio.Task"] = None
-        self._gateway = None
-        self._draining = False
-        self.requests_served = 0
-        self.errors_returned = 0
-        self.connections_refused = 0
         self.migrations_completed = 0
         self.migrations_failed = 0
-        self.started_at = time.time()
-        self._started_mono = time.monotonic()
         self._init_metrics()
 
     def _init_metrics(self) -> None:
@@ -375,10 +337,6 @@ class ClusterDispatcher:
         self._g_workers = telemetry.gauge(
             "repro_cluster_workers", "Live workers in the shard map"
         )
-        self._g_uptime = telemetry.gauge(
-            "repro_service_uptime_seconds",
-            "Seconds since the dispatcher started",
-        )
         self._m_migrations = telemetry.counter(
             "repro_cluster_migrations_total",
             "Completed live session migrations",
@@ -386,14 +344,6 @@ class ClusterDispatcher:
         self._m_migrations_failed = telemetry.counter(
             "repro_cluster_migrations_failed_total",
             "Session migrations that failed and rolled back",
-        )
-        self._m_requests = telemetry.counter(
-            "repro_service_requests_total",
-            "Requests executed (dispatcher-side count)",
-        )
-        self._m_errors = telemetry.counter(
-            "repro_service_errors_total",
-            "Requests answered with an error response",
         )
 
     def _worker_metrics(self, worker_id: str) -> Optional[dict]:
@@ -447,66 +397,24 @@ class ClusterDispatcher:
             gauges["shards"].set(occupancy.get(worker_id, 0))
             gauges["restarts"].set(handle.restarts)
 
-    # -- properties the gateway leans on ---------------------------------------
-
-    @property
-    def telemetry(self):
-        return self._telemetry
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def gateway(self):
-        return self._gateway
-
-    @property
-    def uptime_seconds(self) -> float:
-        return time.monotonic() - self._started_mono
-
-    def touch_uptime(self) -> float:
-        uptime = self.uptime_seconds
-        if self._telemetry is not None:
-            self._g_uptime.set(uptime)
-        return uptime
-
-    def ingest_queue_depth(self) -> int:
-        return sum(
-            connection.queue.qsize()
-            for connection in self._connections.values()
-        )
-
     # -- lifecycle -------------------------------------------------------------
 
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ServiceUnavailableError("dispatcher is already started")
-        self._stopped = asyncio.Event()
+    async def _start_backend(self) -> None:
         handles = await asyncio.gather(*(
             self.supervisor.start_worker()
             for _ in range(self.initial_workers)
         ))
         for handle in handles:
             self._admit_worker(handle)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-        self._health_task = asyncio.ensure_future(self._health_loop())
-        if self.http_port is not None:
-            from repro.obs import ClusterGateway
+        self._background.append(asyncio.ensure_future(self._health_loop()))
 
-            self._gateway = ClusterGateway(
-                self, host=self.http_host, port=self.http_port
-            )
-            await self._gateway.start()
-            self.http_port = self._gateway.port
+    def _make_gateway(self):
+        from repro.obs import ClusterGateway
+
+        return ClusterGateway(self, host=self.http_host, port=self.http_port)
+
+    async def start(self) -> None:
+        await super().start()
         self.refresh_cluster_metrics()
         self._emit(
             "cluster_start", host=self.host, port=self.port,
@@ -521,68 +429,8 @@ class ClusterDispatcher:
             handle.worker_id, handle.uds_path, self.retry_window
         )
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._stopped is not None
-        await self._stopped.wait()
-
-    def begin_drain(self, grace: float = 0.5) -> None:
-        """Flip to draining now; full shutdown after ``grace`` seconds
-        (same contract as ``PhaseService.begin_drain``)."""
-        if self._draining:
-            return
-        self._draining = True
-
-        async def _later() -> None:
-            await asyncio.sleep(grace)
-            await self.shutdown(drain=True)
-
-        self._drain_task = asyncio.ensure_future(_later())
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the cluster: drain client connections, then stop the
-        workers gracefully (each drains and checkpoints)."""
-        if self._server is None:
-            return
-        self._draining = True
-        drain_task = self._drain_task
-        if drain_task is not None and drain_task is not asyncio.current_task():
-            self._drain_task = None
-            drain_task.cancel()
-        server, self._server = self._server, None
-        server.close()
-        await server.wait_closed()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            self._health_task = None
-
-        connections = list(self._connections.values())
-        if drain:
-            for connection in connections:
-                for task in connection.tasks[:1]:  # the reader
-                    task.cancel()
-            for connection in connections:
-                try:
-                    await asyncio.wait_for(
-                        connection.queue.put(None), self.drain_timeout
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            for connection in connections:
-                for task in connection.tasks[1:]:  # the worker
-                    try:
-                        await asyncio.wait_for(
-                            asyncio.shield(task), self.drain_timeout
-                        )
-                    except (asyncio.CancelledError, Exception):
-                        pass
-        for connection in connections:
-            for task in connection.tasks:
-                task.cancel()
-            await self._close_client(connection)
-        self._connections.clear()
-
+    async def _stop_backend(self, drain: bool) -> None:
+        """Stop the workers gracefully (each drains and checkpoints)."""
         await self.supervisor.stop_all(timeout=self.drain_timeout)
         for channel in self._control.values():
             await channel.close()
@@ -592,11 +440,6 @@ class ClusterDispatcher:
             requests=self.requests_served,
             migrations=self.migrations_completed,
         )
-        if self._gateway is not None:
-            gateway, self._gateway = self._gateway, None
-            await gateway.shutdown()
-        if self._stopped is not None:
-            self._stopped.set()
 
     async def _health_loop(self) -> None:
         """Detect crashed workers and restart them on the same socket
@@ -652,9 +495,10 @@ class ClusterDispatcher:
             await gate.wait()
 
     def _client_channel(
-        self, connection: _ClientConnection, worker_id: str
+        self, connection: Connection, worker_id: str
     ) -> _WorkerChannel:
-        channel = connection.channels.get(worker_id)
+        channels = self._channels.setdefault(connection, {})
+        channel = channels.get(worker_id)
         if channel is None:
             handle = self.supervisor.workers.get(worker_id)
             if handle is None:
@@ -662,187 +506,76 @@ class ClusterDispatcher:
             channel = _WorkerChannel(
                 worker_id, handle.uds_path, self.retry_window
             )
-            connection.channels[worker_id] = channel
+            channels[worker_id] = channel
         return channel
 
-    # -- connection handling ---------------------------------------------------
+    # -- answering a connection's batch ---------------------------------------
 
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        if self._draining or len(self._connections) >= self.max_connections:
-            self.connections_refused += 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-            return
-        connection = _ClientConnection(reader, writer, self.queue_size)
-        self._connections[id(connection)] = connection
-        reader_task = asyncio.ensure_future(self._read_loop(connection))
-        worker_task = asyncio.ensure_future(self._work_loop(connection))
-        connection.tasks = [reader_task, worker_task]
-        try:
-            await worker_task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            reader_task.cancel()
-            if self._connections.pop(id(connection), None) is not None:
-                await self._close_client(connection)
-
-    async def _close_client(self, connection: _ClientConnection) -> None:
-        # May race its counterpart in shutdown(): detach the channel
-        # dict before the first await so both runs see a stable list.
-        channels, connection.channels = list(
-            connection.channels.values()
-        ), {}
-        for channel in channels:
+    async def _close_connection(self, connection: Connection) -> None:
+        # Popped before the first await: shutdown() and the
+        # connection's own exit may both close it.
+        for channel in self._channels.pop(connection, {}).values():
             await channel.close()
-        try:
-            connection.writer.close()
-            await connection.writer.wait_closed()
-        except Exception:
-            pass
+        await super()._close_connection(connection)
 
-    async def _read_loop(self, connection: _ClientConnection) -> None:
-        """Parse just enough of each line to route it; queue the raw
-        bytes. The bounded queue backpressures exactly like the
-        single-process service."""
-        try:
-            while True:
-                try:
-                    line = await connection.reader.readline()
-                except (asyncio.LimitOverrunError, ValueError) as error:
-                    await connection.queue.put(
-                        ("bad", None, ProtocolError(
-                            f"request line exceeds the "
-                            f"{protocol.MAX_LINE_BYTES}-byte limit: "
-                            f"{error}"
-                        ))
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                item = self._classify_line(line)
-                if (
-                    self._draining
-                    and item[0] in ("open", "fwd")
-                ):
-                    request_id = item[2] if item[0] == "fwd" else item[1].id
-                    await connection.queue.put(("bad", request_id,
-                                                ServiceUnavailableError(
-                        "service is draining; no new work is accepted"
-                    )))
-                    continue
-                await connection.queue.put(item)
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            try:
-                connection.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                pass
-
-    def _classify_line(self, line: bytes) -> tuple:
+    def _queue_item(self, line: bytes) -> tuple:
         """Turn one raw request line into a queue item:
-        ``("fwd", raw, id, op, session)`` for the proxy fast path,
-        ``("open", request)``, ``("local", request)`` for ops the
-        dispatcher answers itself, or ``("bad", id, error)``.
+        ``("fwd", id, raw, op, session)`` for a request forwarded as
+        sent, ``("open", id, request)``, or the shell's ``local`` and
+        ``bad`` items.
         """
         if not line.endswith(b"\n"):
             line += b"\n"  # a last line cut off by EOF
         match = _FAST_ROUTE.match(line)
         if match is not None:
-            op = match.group(1).decode("ascii")
-            request_id = int(match.group(2))
-            session = match.group(3).decode("ascii")
-            return ("fwd", line, request_id, op, session)
-        try:
-            request = protocol.parse_request(line)
-        except ProtocolError as error:
-            from repro.service.server import _best_effort_id
-
-            return ("bad", _best_effort_id(line), error)
-        if isinstance(request, (
-            protocol.PingRequest,
-            protocol.StatsRequest,
-            protocol.ClusterRequest,
-        )):
-            return ("local", request)
+            return (
+                "fwd", int(match.group(2)), line,
+                match.group(1).decode("ascii"),
+                match.group(3).decode("ascii"),
+            )
+        item = super()._queue_item(line)
+        if item[0] != "request":
+            return item
+        request = item[2]
         if isinstance(request, protocol.OpenRequest):
-            return ("open", request)
+            return ("open", request.id, request)
         # A routable op the regex could not take (keys in another
         # order, an escaped session name): forward the line as sent.
-        return ("fwd", line, request.id, request.op, request.session)
+        return ("fwd", request.id, line, request.op, request.session)
 
-    async def _work_loop(self, connection: _ClientConnection) -> None:
-        """Answer queued requests; the only writer on this socket.
+    async def _answer(
+        self, connection: Connection, batch: List[tuple]
+    ) -> List[bytes]:
+        """Answer one cycle's queue items in request order.
 
-        Each cycle drains everything already queued, as
-        ``PhaseService._work_loop`` does. Consecutive routable requests
-        go to the workers pipelined (:meth:`_forward_run`); opens,
-        dispatcher-local ops and bad lines are barriers answered one at
-        a time. The cycle's pushes and responses leave in request order
-        in one ``writer.write``.
+        Consecutive routable requests go to the workers pipelined
+        (:meth:`_forward_run`); opens, dispatcher-local ops and bad
+        lines are barriers answered one at a time.
         """
-        while True:
-            item = await connection.queue.get()
-            if item is None:
-                break
-            batch = [item]
-            while batch[-1] is not None:
-                try:
-                    batch.append(connection.queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            stop = batch[-1] is None
-            if stop:
-                batch.pop()
-            self.requests_served += len(batch)
-            if self._telemetry is not None:
-                self._m_requests.inc(len(batch))
-            chunks: List[bytes] = []
-            start = 0
-            while start < len(batch):
-                if batch[start][0] != "fwd":
-                    chunks += await self._answer_barrier(
-                        connection, batch[start]
-                    )
-                    start += 1
-                    continue
-                end = start + 1
-                while end < len(batch) and batch[end][0] == "fwd":
-                    end += 1
-                start += await self._forward_run(
-                    connection, batch[start:end], chunks
+        self.requests_served += len(batch)
+        if self._telemetry is not None:
+            self._m_requests.inc(len(batch))
+        chunks: List[bytes] = []
+        start = 0
+        while start < len(batch):
+            if batch[start][0] != "fwd":
+                chunks += await self._answer_barrier(
+                    connection, batch[start]
                 )
-            try:
-                connection.writer.write(b"".join(chunks))
-                await connection.writer.drain()
-            except (ConnectionError, RuntimeError):
-                break
-            if stop:
-                break
+                start += 1
+                continue
+            end = start + 1
+            while end < len(batch) and batch[end][0] == "fwd":
+                end += 1
+            start += await self._forward_run(
+                connection, batch[start:end], chunks
+            )
+        return chunks
 
     def _error_line(
         self, request_id: Optional[int], error: Exception
     ) -> bytes:
-        self.errors_returned += 1
-        if self._telemetry is not None:
-            self._m_errors.inc()
-        if isinstance(error, ReproError):
-            code, message = protocol.error_code_for(error), str(error)
-        else:  # pragma: no cover - defensive
-            code, message = "internal", f"{type(error).__name__}: {error}"
-        return protocol.encode(protocol.error_response(
-            request_id if request_id is not None else -1, code, message
-        ))
+        return protocol.encode(self._error_payload(request_id, error))
 
     def _hold(self, session: str) -> None:
         """Count one request to ``session`` as in flight; a migration's
@@ -857,12 +590,12 @@ class ClusterDispatcher:
             self._inflight.pop(session, None)
 
     async def _answer_barrier(
-        self, connection: _ClientConnection, item: tuple
+        self, connection: Connection, item: tuple
     ) -> List[bytes]:
         """Answer one ``open``, ``local`` or ``bad`` queue item."""
         if item[0] == "bad":
             return [self._error_line(item[1], item[2])]
-        request = item[1]
+        request = item[2]
         try:
             if item[0] == "open":
                 return await self._handle_open(connection, request)
@@ -875,7 +608,7 @@ class ClusterDispatcher:
 
     async def _forward_run(
         self,
-        connection: _ClientConnection,
+        connection: Connection,
         items: List[tuple],
         chunks: List[bytes],
     ) -> int:
@@ -914,7 +647,7 @@ class ClusterDispatcher:
 
         exchanges = [
             channel.exchange(
-                [items[index][1] for index in indexes],
+                [items[index][2] for index in indexes],
                 [items[index][3] in _RESENDABLE for index in indexes],
                 lambda at, reply, indexes=indexes: deliver(
                     indexes[at], reply
@@ -924,7 +657,7 @@ class ClusterDispatcher:
         ]
         await asyncio.gather(*exchanges)
 
-        for (_, _, request_id, op, session), reply in zip(
+        for (_, request_id, _, op, session), reply in zip(
             items[:taken], replies
         ):
             if isinstance(reply, Exception):
@@ -945,7 +678,7 @@ class ClusterDispatcher:
         return taken
 
     async def _handle_open(
-        self, connection: _ClientConnection, request: protocol.OpenRequest
+        self, connection: Connection, request: protocol.OpenRequest
     ) -> List[bytes]:
         session = request.session
         if session is None:
@@ -1237,89 +970,14 @@ class ClusterDispatcher:
 # -- thread hosting ------------------------------------------------------------
 
 
-class ClusterHandle:
+class ClusterHandle(ServiceHandle):
     """A running cluster on a background thread (tests, benchmarks,
-    demos) — the cluster counterpart of
-    :class:`~repro.service.server.ServiceHandle`."""
-
-    def __init__(
-        self, dispatcher: ClusterDispatcher, drain: bool = True
-    ) -> None:
-        self.dispatcher = dispatcher
-        self.drain = drain
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._error: Optional[BaseException] = None
+    demos): a :class:`~repro.service.frontend.ServiceHandle` whose
+    front end is a :class:`ClusterDispatcher`."""
 
     @property
-    def port(self) -> int:
-        return self.dispatcher.port
-
-    @property
-    def host(self) -> str:
-        return self.dispatcher.host
-
-    def run_control(self, coroutine, timeout: float = 60.0):
-        """Run a dispatcher coroutine (migrate, drain_worker, …) on the
-        cluster's loop from the calling thread."""
-        assert self._loop is not None
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout)
-
-    def start(self, timeout: float = 120.0) -> "ClusterHandle":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cluster", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise ServiceUnavailableError(
-                "cluster failed to start within the timeout"
-            )
-        if self._error is not None:
-            raise ServiceUnavailableError(
-                f"cluster failed to start: {self._error}"
-            )
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.dispatcher.start())
-        except BaseException as error:
-            self._error = error
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_until_complete(self.dispatcher.serve_forever())
-        finally:
-            loop.close()
-
-    def stop(
-        self, drain: Optional[bool] = None, timeout: float = 60.0
-    ) -> None:
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None or not thread.is_alive():
-            return
-        should_drain = self.drain if drain is None else drain
-        future = asyncio.run_coroutine_threadsafe(
-            self.dispatcher.shutdown(drain=should_drain), loop
-        )
-        try:
-            future.result(timeout)
-        except Exception:
-            pass
-        thread.join(timeout)
-
-    def __enter__(self) -> "ClusterHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def dispatcher(self) -> ClusterDispatcher:
+        return self.service
 
 
 def start_cluster_in_thread(**kwargs: object) -> ClusterHandle:

@@ -534,9 +534,7 @@ class TrackerPool:
     Parameters
     ----------
     capacity:
-        Initial number of slots; grows by doubling when exhausted
-        unless ``auto_grow=False`` (then allocation raises
-        :class:`~repro.errors.PoolError`).
+        Initial number of slots; grows by doubling when exhausted.
     config:
         The shared classifier configuration (finite table required).
     telemetry:
@@ -552,12 +550,10 @@ class TrackerPool:
         capacity: int = 1024,
         config: Optional[ClassifierConfig] = None,
         *,
-        auto_grow: bool = True,
         telemetry=None,
     ) -> None:
         self.classifiers = ClassifierPool(capacity, config)
         self.config = self.classifiers.config
-        self.auto_grow = auto_grow
         self.telemetry = telemetry
         self._instrument(telemetry)
         capacity = self.classifiers.capacity
@@ -668,11 +664,8 @@ class TrackerPool:
         interval_instructions: Optional[int] = None,
         change_predictor: "RLEChangePredictor | None | str" = "default",
     ) -> int:
-        """Claim a fresh slot; returns its handle.
-
-        Raises :class:`~repro.errors.PoolError` when the pool is full
-        and growth is disabled.
-        """
+        """Claim a fresh slot, growing the pool when it is full;
+        returns the slot's handle."""
         interval = interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS
         if interval <= 0:
             raise PredictionError(
@@ -680,11 +673,6 @@ class TrackerPool:
                 f"{interval_instructions}"
             )
         if not self._free:
-            if not self.auto_grow:
-                raise PoolError(
-                    f"pool is full ({self.capacity} slots) and growth "
-                    "is disabled"
-                )
             self._grow()
         slot = self._free.pop()
         if change_predictor == "default":

@@ -387,14 +387,6 @@ def _serve_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    import asyncio
-    import signal
-
-    from repro.service import PhaseService
-
-    if args.workers is not None:
-        return _serve_cluster(args)
-
     telemetry = None
     if args.metrics is not None or args.events is not None:
         from repro.telemetry import Telemetry
@@ -402,6 +394,50 @@ def _serve_main(argv: List[str]) -> int:
         telemetry = Telemetry.to_files(
             metrics_path=args.metrics, events_path=args.events
         )
+    build = _cluster_front_end if args.workers is not None else (
+        _service_front_end
+    )
+    front, banners, farewell = build(args, telemetry)
+
+    import asyncio
+    import signal
+
+    async def _run() -> None:
+        await front.start()
+        loop = asyncio.get_event_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(
+                    signum,
+                    lambda: asyncio.ensure_future(
+                        front.shutdown(drain=True)
+                    ),
+                )
+            except NotImplementedError:  # pragma: no cover - non-POSIX
+                pass
+        for line in banners():
+            print(line, flush=True)
+        await front.serve_forever()
+
+    try:
+        asyncio.run(_run())
+    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
+        pass
+    finally:
+        if telemetry is not None:
+            telemetry.emit("run_end")
+            telemetry.close()
+    print(farewell(), flush=True)
+    return 0
+
+
+def _service_front_end(args, telemetry):
+    """``repro-phases serve``: one phase service on ``--port``.
+
+    Returns the front end plus the banner lines printed once it
+    listens and the line printed after it drained (both callables).
+    """
+    from repro.service import PhaseService
 
     service = PhaseService(
         host=args.host,
@@ -426,67 +462,38 @@ def _serve_main(argv: List[str]) -> int:
             flush=True,
         )
 
-    async def _run() -> None:
-        await service.start()
-        loop = asyncio.get_event_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda: asyncio.ensure_future(
-                        service.shutdown(drain=True)
-                    ),
-                )
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        print(
+    def banners() -> List[str]:
+        lines = [
             f"repro-phases service listening on "
             f"{service.host}:{service.port} "
             f"(max {service.registry.max_sessions} sessions); "
-            f"Ctrl-C to drain and exit",
-            flush=True,
-        )
+            f"Ctrl-C to drain and exit"
+        ]
         if service.http_port is not None:
-            print(
+            lines.append(
                 f"http gateway on "
                 f"http://{service.http_host}:{service.http_port}/ "
-                f"(dashboard; /metrics for Prometheus)",
-                flush=True,
+                f"(dashboard; /metrics for Prometheus)"
             )
-        await service.serve_forever()
+        return lines
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
-    finally:
-        if telemetry is not None:
-            telemetry.emit("run_end")
-            telemetry.close()
-    print(
-        f"service drained cleanly: {service.requests_served} requests, "
-        f"{service.registry.sessions_opened} sessions",
-        flush=True,
-    )
-    return 0
+    def farewell() -> str:
+        return (
+            f"service drained cleanly: {service.requests_served} "
+            f"requests, {service.registry.sessions_opened} sessions"
+        )
+
+    return service, banners, farewell
 
 
-def _serve_cluster(args) -> int:
+def _cluster_front_end(args, telemetry):
     """``repro-phases serve --workers N``: the sharded multi-process
-    cluster — dispatcher on ``--port``, N supervised workers."""
-    import asyncio
-    import signal
+    cluster — dispatcher on ``--port``, N supervised workers. Returns
+    what :func:`_service_front_end` returns."""
     import tempfile
 
     from repro.cluster import DEFAULT_SHARDS, ClusterDispatcher
 
-    telemetry = None
-    if args.metrics is not None or args.events is not None:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry.to_files(
-            metrics_path=args.metrics, events_path=args.events
-        )
     runtime_dir = args.runtime_dir or tempfile.mkdtemp(
         prefix="repro-cluster-"
     )
@@ -508,56 +515,34 @@ def _serve_cluster(args) -> int:
         idle_ttl=args.idle_ttl,
     )
 
-    async def _run() -> None:
-        await dispatcher.start()
-        loop = asyncio.get_event_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda: asyncio.ensure_future(
-                        dispatcher.shutdown(drain=True)
-                    ),
-                )
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        print(
+    def banners() -> List[str]:
+        lines = [
             f"repro-phases cluster listening on "
             f"{dispatcher.host}:{dispatcher.port} "
             f"({len(dispatcher.shard_map)} workers, "
             f"{dispatcher.shard_map.num_shards} shards, "
-            f"runtime {runtime_dir}); Ctrl-C to drain and exit",
-            flush=True,
-        )
+            f"runtime {runtime_dir}); Ctrl-C to drain and exit"
+        ]
         if args.data_dir is not None:
-            print(
+            lines.append(
                 f"durable workers under {args.data_dir} "
-                f"(sync={args.sync}, per-worker data dirs)",
-                flush=True,
+                f"(sync={args.sync}, per-worker data dirs)"
             )
         if dispatcher.http_port is not None:
-            print(
+            lines.append(
                 f"http gateway on "
                 f"http://{dispatcher.http_host}:{dispatcher.http_port}/ "
-                f"(dashboard; /v1/cluster for topology)",
-                flush=True,
+                f"(dashboard; /v1/cluster for topology)"
             )
-        await dispatcher.serve_forever()
+        return lines
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
-    finally:
-        if telemetry is not None:
-            telemetry.emit("run_end")
-            telemetry.close()
-    print(
-        f"cluster drained cleanly: {dispatcher.requests_served} "
-        f"requests, {dispatcher.migrations_completed} migrations",
-        flush=True,
-    )
-    return 0
+    def farewell() -> str:
+        return (
+            f"cluster drained cleanly: {dispatcher.requests_served} "
+            f"requests, {dispatcher.migrations_completed} migrations"
+        )
+
+    return dispatcher, banners, farewell
 
 
 def _cluster_main(argv: List[str]) -> int:

@@ -9,8 +9,10 @@ behind a newline-delimited-JSON TCP protocol:
   idle-TTL expiry, tracker recycling);
 - :mod:`repro.service.snapshot` — full tracker serialize/restore, so
   sessions survive restarts and migrate between hosts;
-- :mod:`repro.service.server` — the asyncio TCP server with bounded
-  ingest queues (backpressure), admission control, and graceful drain;
+- :mod:`repro.service.frontend` — the NDJSON connection shell the
+  service and the cluster dispatcher share: bounded ingest queues
+  (backpressure), admission control, graceful drain, thread hosting;
+- :mod:`repro.service.server` — the asyncio phase service built on it;
 - :mod:`repro.service.client` — the synchronous SDK with typed error
   mapping and bounded retry for read-only requests.
 

@@ -1,21 +1,14 @@
 """The asyncio phase-classification server.
 
 One :class:`PhaseService` hosts a :class:`~repro.service.session.SessionRegistry`
-behind the NDJSON protocol (:mod:`repro.service.protocol`). Each TCP
-connection gets two tasks:
-
-- a **reader** that parses request lines into a *bounded*
-  ``asyncio.Queue``. When the worker falls behind, ``queue.put`` blocks
-  the reader, the socket stops being drained, and the kernel's TCP
-  receive window closes — backpressure reaches the client without any
-  explicit flow-control messages.
-- a **worker** that pops requests, executes them against the registry,
-  and writes interval pushes followed by the matching response. All
-  writes happen on the worker, so message order per connection is the
-  protocol order: pushes for an observe precede that observe's ack.
-  Observes execute in the cross-connection rounds of
-  :class:`~repro.service.coalesce.IngestCoalescer`; every other request
-  executes on the worker.
+behind the NDJSON protocol (:mod:`repro.service.protocol`). The
+connection shell — bounded per-connection queues (backpressure), the
+line rules, the connection cap and the graceful drain — is the shared
+:class:`~repro.service.frontend.FrontEnd`; this module supplies how a
+batch of requests is executed. Observes execute in the cross-connection
+rounds of :class:`~repro.service.coalesce.IngestCoalescer`; every other
+request executes on the connection's worker, and pushes for an observe
+precede that observe's ack.
 
 Admission control: the session cap refuses/evicts at ``open`` (see the
 registry), a connection cap closes surplus sockets at accept, and during
@@ -39,21 +32,18 @@ destroying them — they hydrate back on their next touch.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-import threading
 import time
 from typing import Awaitable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import (
     ClusterError,
     ConfigurationError,
-    ProtocolError,
-    ReproError,
     ServiceUnavailableError,
 )
 from repro.service import protocol
 from repro.service.coalesce import IngestCoalescer
+from repro.service.frontend import Connection, FrontEnd, ServiceHandle
 from repro.service.session import Session, SessionRegistry
 from repro.service.snapshot import snapshot_tracker
 
@@ -61,29 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from repro.telemetry import Telemetry
 
 
-class _Connection:
-    """Per-connection state: the socket pair, the bounded ingest queue,
-    and the reader/worker task pair."""
-
-    __slots__ = ("reader", "writer", "queue", "tasks", "peer")
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        queue_size: int,
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        # Items are ("request", Request), ("bad", id-or-None, error), or
-        # None (end of input). Bounded: this queue is the backpressure.
-        self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=queue_size)
-        self.tasks: List["asyncio.Task"] = []
-        peer = writer.get_extra_info("peername")
-        self.peer = f"{peer[0]}:{peer[1]}" if peer else "?"
-
-
-class PhaseService:
+class PhaseService(FrontEnd):
     """A streaming phase-classification service.
 
     Parameters
@@ -161,39 +129,23 @@ class PhaseService:
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
     ) -> None:
-        if max_connections <= 0:
-            raise ConfigurationError(
-                f"max_connections must be positive, got {max_connections}"
-            )
-        if queue_size <= 0:
-            raise ConfigurationError(
-                f"queue_size must be positive, got {queue_size}"
-            )
         if checkpoint_interval <= 0:
             raise ConfigurationError(
                 f"checkpoint_interval must be positive, "
                 f"got {checkpoint_interval}"
             )
-        if http_port is not None and http_port < 0:
-            raise ConfigurationError(
-                f"http_port must be >= 0, got {http_port}"
-            )
-        if http_port is not None and telemetry is None:
-            # The gateway exists to expose telemetry; an operator who
-            # asks for the HTTP surface gets an in-memory hub for free.
-            from repro.telemetry import Telemetry as _Telemetry
-
-            telemetry = _Telemetry()
-        self.host = host
-        self.port = port
+        super().__init__(
+            host, port,
+            max_connections=max_connections,
+            queue_size=queue_size,
+            drain_timeout=drain_timeout,
+            telemetry=telemetry,
+            http_host=http_host,
+            http_port=http_port,
+        )
+        telemetry = self._telemetry
         self.uds_path = uds_path
-        self.http_host = http_host if http_host is not None else host
-        self.http_port = http_port
-        self._gateway = None
-        self.max_connections = max_connections
-        self.queue_size = queue_size
         self.sweep_interval = sweep_interval
-        self.drain_timeout = drain_timeout
         self._coalescer = IngestCoalescer(self._coalesce_round)
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
@@ -215,41 +167,23 @@ class PhaseService:
             self.sessions_recovered = self._persistence.install_into(
                 self.registry
             )
-        self.requests_served = 0
-        self.errors_returned = 0
-        self.connections_refused = 0
         self.checkpoint_failures = 0
         self.predictions_scored = 0
         self.predictions_correct = 0
         self.confident_scored = 0
         self.confident_correct = 0
-        self.started_at = time.time()
-        self._started_mono = time.monotonic()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Dict[int, _Connection] = {}
-        self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
-        self._sweeper: Optional["asyncio.Task"] = None
-        self._checkpointer: Optional["asyncio.Task"] = None
-        self._drain_task: Optional["asyncio.Task"] = None
-        self._telemetry = telemetry
         if telemetry is not None:
             from repro import __version__ as _version
-            import os as _os
 
             telemetry.gauge(
                 "repro_service_info",
                 "Constant 1; process identity in the labels.",
                 labels={
                     "version": _version,
-                    "pid": _os.getpid(),
+                    "pid": os.getpid(),
                     "started": int(self.started_at),
                 },
             ).set(1)
-            self._g_uptime = telemetry.gauge(
-                "repro_service_uptime_seconds",
-                "Seconds since service construction (updated on scrape).",
-            )
             self._m_pred_scored = telemetry.counter(
                 "repro_service_predictions_total",
                 "Next-phase predictions scored against the next interval",
@@ -266,14 +200,6 @@ class PhaseService:
                 "repro_service_predictions_confident_correct_total",
                 "Confident scored predictions that matched",
             )
-            self._m_requests = telemetry.counter(
-                "repro_service_requests_total",
-                "Requests executed by the service (including refusals)",
-            )
-            self._m_errors = telemetry.counter(
-                "repro_service_errors_total",
-                "Requests answered with an error response",
-            )
             self._m_branches = telemetry.counter(
                 "repro_service_branches_total",
                 "Branch records ingested via observe",
@@ -289,10 +215,6 @@ class PhaseService:
             self._h_ingest = telemetry.histogram(
                 "repro_service_ingest_seconds",
                 "Mean per-branch ingest latency, one sample per observe",
-            )
-            self._g_connections = telemetry.gauge(
-                "repro_service_connections",
-                "Open client connections",
             )
             self._m_checkpoint_failures = telemetry.counter(
                 "repro_service_checkpoint_failures_total",
@@ -320,48 +242,27 @@ class PhaseService:
 
     # -- lifecycle ------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        if self._server is not None:
-            raise ServiceUnavailableError("service is already started")
-        self._stopped = asyncio.Event()
-        if self.uds_path is not None:
-            try:
-                os.unlink(self.uds_path)
-            except FileNotFoundError:
-                pass
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection,
-                path=self.uds_path,
-                limit=protocol.MAX_LINE_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                self.host,
-                self.port,
-                limit=protocol.MAX_LINE_BYTES,
-            )
-            sockets = self._server.sockets or []
-            if sockets:
-                self.port = sockets[0].getsockname()[1]
+    async def _start_backend(self) -> None:
         self._coalescer.start()
         if self.idle_ttl_enabled:
-            self._sweeper = asyncio.ensure_future(self._sweep_idle())
+            self._background.append(
+                asyncio.ensure_future(self._sweep_idle())
+            )
         if self._persistence is not None:
-            self._checkpointer = asyncio.ensure_future(
-                self._checkpoint_loop()
+            self._background.append(
+                asyncio.ensure_future(self._checkpoint_loop())
             )
-        if self.http_port is not None:
-            # Imported lazily: the NDJSON service must not pay for the
-            # HTTP gateway unless it was asked for.
-            from repro.obs import HttpGateway
 
-            self._gateway = HttpGateway(
-                self, host=self.http_host, port=self.http_port
-            )
-            await self._gateway.start()
-            self.http_port = self._gateway.port
+    def _make_gateway(self):
+        # Imported lazily: the NDJSON service must not pay for the
+        # HTTP gateway unless it was asked for.
+        from repro.obs import HttpGateway
+
+        return HttpGateway(self, host=self.http_host, port=self.http_port)
+
+    async def start(self) -> None:
+        """Bind and start accepting connections."""
+        await super().start()
         if self._telemetry is not None:
             self._telemetry.emit(
                 "service_start", host=self.host, port=self.port,
@@ -381,129 +282,11 @@ class PhaseService:
         backing this service, or ``None`` when RAM-only."""
         return self._persistence
 
-    @property
-    def telemetry(self) -> "Optional[Telemetry]":
-        return self._telemetry
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def gateway(self):
-        """The running :class:`~repro.obs.HttpGateway`, or ``None``."""
-        return self._gateway
-
-    @property
-    def uptime_seconds(self) -> float:
-        return time.monotonic() - self._started_mono
-
-    def touch_uptime(self) -> float:
-        """Refresh the uptime gauge (called on scrape) and return it."""
-        uptime = self.uptime_seconds
-        if self._telemetry is not None:
-            self._g_uptime.set(uptime)
-        return uptime
-
-    def ingest_queue_depth(self) -> int:
-        """Requests currently buffered across all connection queues —
-        the live backpressure signal."""
-        return sum(
-            connection.queue.qsize()
-            for connection in self._connections.values()
-        )
-
-    def begin_drain(self, grace: float = 0.5) -> None:
-        """Flip to draining *now* and schedule the real shutdown.
-
-        ``/readyz`` (and ``ping``) report not-ready immediately; the
-        full :meth:`shutdown` runs after ``grace`` seconds so probes
-        and load balancers get a window to observe the transition
-        before sockets disappear. Idempotent while already draining.
-        """
-        if self._draining:
-            return
-        self._draining = True
-
-        async def _later() -> None:
-            await asyncio.sleep(grace)
-            await self.shutdown(drain=True)
-
-        self._drain_task = asyncio.ensure_future(_later())
-
-    async def serve_forever(self) -> None:
-        """Run until :meth:`shutdown` completes (from another task or a
-        signal handler)."""
-        if self._server is None:
-            await self.start()
-        assert self._stopped is not None
-        await self._stopped.wait()
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the service.
-
-        With ``drain=True`` (the default): stop accepting connections,
-        stop reading new request lines, execute everything already
-        queued, flush all responses and interval pushes, then close the
-        sockets. With ``drain=False``: cancel everything immediately.
-        """
-        if self._server is None:
-            return
-        self._draining = True
-        drain_task = self._drain_task
-        if drain_task is not None and drain_task is not asyncio.current_task():
-            # A direct shutdown supersedes a scheduled begin_drain one.
-            self._drain_task = None
-            drain_task.cancel()
-        server, self._server = self._server, None
-        server.close()
-        await server.wait_closed()
-        if self.uds_path is not None:
-            try:
-                os.unlink(self.uds_path)
-            except OSError:
-                pass
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            self._sweeper = None
-        if self._checkpointer is not None:
-            self._checkpointer.cancel()
-            self._checkpointer = None
-
-        connections = list(self._connections.values())
-        if drain:
-            # Stop the readers (no new requests), then let each worker
-            # finish its queue. The sentinel wakes idle workers; both
-            # waits are bounded so a stalled client cannot wedge the
-            # shutdown.
-            for connection in connections:
-                for task in connection.tasks[:1]:  # the reader
-                    task.cancel()
-            for connection in connections:
-                try:
-                    await asyncio.wait_for(
-                        connection.queue.put(None), self.drain_timeout
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            for connection in connections:
-                for task in connection.tasks[1:]:  # the worker
-                    try:
-                        await asyncio.wait_for(
-                            asyncio.shield(task), self.drain_timeout
-                        )
-                    except (asyncio.CancelledError, Exception):
-                        pass
+    async def _stop_backend(self, drain: bool) -> None:
         # After the workers: every queued observe has been rounded and
         # acked (the drain guarantee); stopping earlier would strand
         # workers awaiting their round.
         await self._coalescer.stop()
-        for connection in connections:
-            for task in connection.tasks:
-                task.cancel()
-            await self._close_connection(connection)
-        self._connections.clear()
-
         if self._persistence is not None:
             # Final checkpoint so a graceful stop leaves the data dir
             # ready to recover every session — the registry teardown
@@ -517,14 +300,6 @@ class PhaseService:
                 "service_stop", drained=drain, sessions_closed=closed,
                 requests=self.requests_served,
             )
-        if self._gateway is not None:
-            # The gateway goes down last so /healthz and /readyz stay
-            # observable for the whole drain — a load balancer sees the
-            # not-ready signal before the port disappears.
-            gateway, self._gateway = self._gateway, None
-            await gateway.shutdown()
-        if self._stopped is not None:
-            self._stopped.set()
 
     async def _sweep_idle(self) -> None:
         while True:
@@ -549,192 +324,60 @@ class PhaseService:
                     )
                     self._m_checkpoint_failures.inc()
 
-    # -- connection handling ---------------------------------------------------
+    # -- answering a connection's batch ---------------------------------------
 
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        if self._draining or len(self._connections) >= self.max_connections:
-            # Admission control at the socket level: no request to
-            # answer yet, so refuse by closing.
-            self.connections_refused += 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-            return
-        connection = _Connection(reader, writer, self.queue_size)
-        self._connections[id(connection)] = connection
-        if self._telemetry is not None:
-            self._g_connections.set(len(self._connections))
-        reader_task = asyncio.ensure_future(self._read_loop(connection))
-        worker_task = asyncio.ensure_future(self._work_loop(connection))
-        connection.tasks = [reader_task, worker_task]
-        try:
-            await worker_task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            reader_task.cancel()
-            if self._connections.pop(id(connection), None) is not None:
-                await self._close_connection(connection)
-            if self._telemetry is not None:
-                self._g_connections.set(len(self._connections))
+    async def _answer(
+        self, connection: Connection, batch: List[tuple]
+    ) -> List[bytes]:
+        """Answer one cycle's queue items in request order.
 
-    async def _close_connection(self, connection: _Connection) -> None:
-        try:
-            connection.writer.close()
-            await connection.writer.wait_closed()
-        except Exception:
-            pass
-
-    async def _read_loop(self, connection: _Connection) -> None:
-        """Parse request lines into the bounded queue (the await on
-        ``put`` is what backpressures the socket)."""
-        try:
-            while True:
-                try:
-                    line = await connection.reader.readline()
-                except (
-                    asyncio.LimitOverrunError, ValueError
-                ) as error:  # line longer than MAX_LINE_BYTES
-                    await connection.queue.put(
-                        ("bad", None, ProtocolError(
-                            f"request line exceeds the "
-                            f"{protocol.MAX_LINE_BYTES}-byte limit: {error}"
-                        ))
-                    )
-                    break
-                if not line:
-                    break  # EOF
-                if not line.strip():
-                    continue
-                try:
-                    request = protocol.parse_request(line)
-                except ProtocolError as error:
-                    request_id = _best_effort_id(line)
-                    await connection.queue.put(("bad", request_id, error))
-                    continue
-                if self._draining and not isinstance(
-                    request,
-                    (
-                        protocol.PingRequest,
-                        protocol.StatsRequest,
-                        protocol.ClusterRequest,
-                    ),
-                ):
-                    # Lines read after drain began: typed refusal, so
-                    # the client knows the work was NOT ingested.
-                    await connection.queue.put(("bad", request.id,
-                                                ServiceUnavailableError(
-                        "service is draining; no new work is accepted"
-                    )))
-                    continue
-                await connection.queue.put(("request", request))
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            # Unblock the worker even when cancelled mid-drain.
-            try:
-                connection.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                pass
-
-    async def _work_loop(self, connection: _Connection) -> None:
-        """Execute queued requests; the only writer on this socket.
-
-        Each cycle drains everything immediately available from the
-        queue. Observe requests are submitted to the ingest scheduler
-        (joining the cross-connection round) and any other request acts
-        as an ordering barrier: earlier observes' results are collected
+        Observe requests are submitted to the ingest scheduler (joining
+        the cross-connection round) and any other request acts as an
+        ordering barrier: earlier observes' results are collected
         first, so responses always leave in request order and a close
-        never overtakes its session's in-flight observe. All of a
-        cycle's payloads are serialized into one buffer and written
-        with a single ``writer.write`` — one syscall per cycle instead
-        of one per line.
+        never overtakes its session's in-flight observe.
         """
-        while True:
-            item = await connection.queue.get()
-            if item is None:
-                break
-            batch: List[object] = [item]
-            while True:
+        chunks: List[bytes] = []
+        # (future, request, submit time) triples for observes whose
+        # results have not been collected yet, in request order.
+        pending: List[tuple] = []
+
+        async def _collect_pending() -> None:
+            for future, request, submitted in pending:
                 try:
-                    extra = connection.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                batch.append(extra)
-                if extra is None:
-                    break
-            stop = False
-            chunks: List[bytes] = []
-            # (future, request, submit time) triples for observes whose
-            # results have not been collected yet, in request order.
-            pending: List[tuple] = []
-
-            async def _collect_pending() -> None:
-                for future, request, submitted in pending:
-                    try:
-                        payloads = await future
-                    except Exception as error:
-                        # A scheduler fault must answer the request,
-                        # not strand the connection.
-                        payloads = self._error_payloads(
-                            request.id, error
-                        )
-                    for payload in payloads:
-                        chunks.append(protocol.encode(payload))
-                    self.requests_served += 1
-                    if self._telemetry is not None:
-                        self._m_requests.inc()
-                        self._h_request.observe(
-                            time.perf_counter() - submitted
-                        )
-                pending.clear()
-
-            for item in batch:
-                if item is None:
-                    stop = True
-                    break
-                started = time.perf_counter()
-                if item[0] == "request" and isinstance(
-                    item[1], protocol.ObserveRequest
-                ):
-                    pending.append(
-                        (self.execute_observe(item[1]), item[1], started)
-                    )
-                    continue
-                await _collect_pending()  # the ordering barrier
-                if item[0] == "bad":
-                    _, request_id, error = item
-                    payloads = [protocol.error_response(
-                        request_id if request_id is not None else -1,
-                        protocol.error_code_for(error),
-                        str(error),
-                    )]
-                    self.errors_returned += 1
-                    if self._telemetry is not None:
-                        self._m_errors.inc()
-                else:
-                    payloads = self._execute(item[1])
+                    payloads = await future
+                except Exception as error:
+                    # A scheduler fault must answer the request, not
+                    # strand the connection.
+                    payloads = self._error_payloads(request.id, error)
                 for payload in payloads:
                     chunks.append(protocol.encode(payload))
-                self.requests_served += 1
-                if self._telemetry is not None:
-                    self._m_requests.inc()
-                    self._h_request.observe(time.perf_counter() - started)
-            await _collect_pending()
-            if chunks:
-                try:
-                    connection.writer.write(b"".join(chunks))
-                    await connection.writer.drain()
-                except (ConnectionError, RuntimeError):
-                    break
-            if stop:
-                break
+                self._count_request(submitted)
+            pending.clear()
+
+        for kind, request_id, body in batch:
+            started = time.perf_counter()
+            if kind == "request" and isinstance(
+                body, protocol.ObserveRequest
+            ):
+                pending.append((self.execute_observe(body), body, started))
+                continue
+            await _collect_pending()  # the ordering barrier
+            if kind == "bad":
+                payloads = self._error_payloads(request_id, body)
+            else:
+                payloads = self._execute(body)
+            for payload in payloads:
+                chunks.append(protocol.encode(payload))
+            self._count_request(started)
+        await _collect_pending()
+        return chunks
+
+    def _count_request(self, started: float) -> None:
+        self.requests_served += 1
+        if self._telemetry is not None:
+            self._m_requests.inc()
+            self._h_request.observe(time.perf_counter() - started)
 
     # -- request execution -----------------------------------------------------
 
@@ -755,17 +398,8 @@ class PhaseService:
     def _error_payloads(
         self, request_id: int, error: Exception
     ) -> List[dict]:
-        """Count and encode one refusal (typed) or failure (internal)."""
-        self.errors_returned += 1
-        if self._telemetry is not None:
-            self._m_errors.inc()
-        if isinstance(error, ReproError):
-            return [protocol.error_response(
-                request_id, protocol.error_code_for(error), str(error)
-            )]
-        return [protocol.error_response(
-            request_id, "internal", f"{type(error).__name__}: {error}",
-        )]
+        """:meth:`_error_payload` as a one-payload answer."""
+        return [self._error_payload(request_id, error)]
 
     def _handle_simple(self, request: protocol.Request) -> dict:
         if isinstance(request, protocol.PingRequest):
@@ -856,11 +490,10 @@ class PhaseService:
         }
 
     def _handle_observe(
-        self, request: protocol.ObserveRequest
+        self, session: Session, request: protocol.ObserveRequest
     ) -> List[dict]:
         """Observe on one session's own tracker: the round's path for
         sessions without a pool slot."""
-        session = self.registry.get(request.session)
         started = time.perf_counter()
         reports = session.tracker.observe_batch(
             request.pcs, request.counts, cpi=request.cpi
@@ -951,22 +584,47 @@ class PhaseService:
         payloads — pushes first, ack last — and journaling for the
         whole round happens before any future resolves.
 
+        The round runs as consecutive chunks, each with at most
+        ``registry.max_sessions`` distinct sessions. ``get`` moves each
+        looked-up session to the registry's most-recent end, so a
+        hydration inside a chunk can only evict a session outside it:
+        no session a chunk has looked up loses its tracker before the
+        chunk executes.
+
         Ordering: submissions arrive in per-connection request order,
-        a session's submissions are grouped and its whole group takes
-        exactly one path per round (fused or per-session — never a
-        mid-round flip that could reorder a session's requests), and
-        same-session slices are concatenated in submission order, so
-        each session sees its records in exactly the order its
-        connection sent them — the stream a scalar tracker fed request
-        by request would see.
+        chunks run in that order, a session's submissions within a
+        chunk are grouped and the group takes exactly one path (fused
+        or per-session), and same-session slices are concatenated in
+        submission order, so each session sees its records in exactly
+        the order its connection sent them — the stream a scalar
+        tracker fed request by request would see.
         """
+        limit = self.registry.max_sessions
+        fused = 0
+        chunk: List[object] = []
+        names: set = set()
+        for submission in submissions:
+            name = submission.request.session
+            if name not in names and len(names) == limit:
+                fused += self._run_chunk(chunk)
+                chunk, names = [], set()
+            names.add(name)
+            chunk.append(submission)
+        if chunk:
+            fused += self._run_chunk(chunk)
+        if self._telemetry is not None:
+            self._m_coalesce_rounds.inc()
+            self._h_round_size.observe(len(submissions))
+            self._g_coalesced_sessions.set(fused)
+
+    def _run_chunk(self, submissions) -> int:
+        """Execute one chunk of a round (see :meth:`_coalesce_round`);
+        returns how many sessions took the fused pass."""
         # Group submissions per session, keeping submission order both
         # across groups (insertion order) and within each group. The
         # lookup runs per submission — one LRU / hydration touch per
-        # request — and the group always uses the *latest* resolved
-        # Session object (a mid-round evict-and-hydrate replaces it for
-        # every queued request of that session).
-        groups: Dict[str, dict] = {}
+        # request.
+        groups: Dict[str, tuple] = {}
         for submission in submissions:
             request = submission.request
             try:
@@ -978,95 +636,65 @@ class PhaseService:
                 continue
             group = groups.get(request.session)
             if group is None:
-                groups[request.session] = {
-                    "session": session, "subs": [submission],
-                }
+                groups[request.session] = (session, [submission])
             else:
-                group["session"] = session
-                group["subs"].append(submission)
+                group[1].append(submission)
 
-        def _per_session(group: dict) -> None:
-            """A whole group on its own tracker, in request order."""
-            for submission in group["subs"]:
-                request = submission.request
-                try:
-                    payloads = self._handle_observe(request)
-                except Exception as error:
-                    payloads = self._error_payloads(request.id, error)
-                submission.resolve(payloads)
-            if self._telemetry is not None:
-                self._m_coalesce_fallbacks.inc(len(group["subs"]))
-
-        fused = []
-        for group in groups.values():
-            if self.registry.pool_slot(group["session"]) is None:
-                # Foreign-config scalar trackers keep the per-session
-                # path.
-                _per_session(group)
-            else:
-                fused.append(group)
-
-        # A scalar group's (or another pooled group's) hydration may
-        # have LRU-evicted a fused session after its lookup; demote any
-        # stale group to the per-session path, whose own registry.get
-        # re-hydrates it correctly. Each iteration demotes at least one
-        # group, so this terminates even under eviction ping-pong.
-        while True:
-            stale = [
-                group for group in fused
-                if self.registry.pool_slot(group["session"]) is None
-            ]
-            if not stale:
-                break
-            fused = [group for group in fused if group not in stale]
-            for group in stale:
-                _per_session(group)
-
+        segments = []
+        flat: List[tuple] = []  # (submission, session) per segment
         records = 0
-        live_count = len(fused)
-        if fused:
-            segments = []
-            flat: List[tuple] = []  # (submission, session) per segment
-            for group in fused:
-                session = group["session"]
-                slot = self.registry.pool_slot(session)
-                for submission in group["subs"]:
+        fused = 0
+        for session, subs in groups.values():
+            slot = self.registry.pool_slot(session)
+            if slot is None:
+                # Foreign-config scalar trackers: the whole group on its
+                # own tracker, in request order.
+                for submission in subs:
                     request = submission.request
-                    segments.append((
-                        slot, request.pcs, request.counts, request.cpi,
-                    ))
-                    flat.append((submission, session))
-                    records += len(request.pcs)
-            started = time.perf_counter()
-            try:
-                fanned = self.registry.pool.observe_fanin(segments)
-            except Exception as error:  # pragma: no cover - defensive
-                for submission, _ in flat:
-                    submission.resolve(self._error_payloads(
-                        submission.request.id, error
-                    ))
-                fanned = None
-            if fanned is not None:
-                elapsed = time.perf_counter() - started
-                if self._telemetry is not None and records:
-                    # Per-record ingest latency, attributed per round:
-                    # the fused pass is one unit of work.
-                    self._h_ingest.observe(elapsed / records)
-                for (submission, session), reports in zip(flat, fanned):
                     try:
-                        payloads = self._finish_observe(
-                            session, submission.request, reports
-                        )
-                    except Exception as error:  # pragma: no cover
-                        payloads = self._error_payloads(
-                            submission.request.id, error
-                        )
+                        payloads = self._handle_observe(session, request)
+                    except Exception as error:
+                        payloads = self._error_payloads(request.id, error)
                     submission.resolve(payloads)
+                if self._telemetry is not None:
+                    self._m_coalesce_fallbacks.inc(len(subs))
+                continue
+            fused += 1
+            for submission in subs:
+                request = submission.request
+                segments.append((
+                    slot, request.pcs, request.counts, request.cpi,
+                ))
+                flat.append((submission, session))
+                records += len(request.pcs)
+        if not segments:
+            return fused
 
-        if self._telemetry is not None:
-            self._m_coalesce_rounds.inc()
-            self._h_round_size.observe(len(submissions))
-            self._g_coalesced_sessions.set(live_count)
+        started = time.perf_counter()
+        try:
+            fanned = self.registry.pool.observe_fanin(segments)
+        except Exception as error:  # pragma: no cover - defensive
+            for submission, _ in flat:
+                submission.resolve(self._error_payloads(
+                    submission.request.id, error
+                ))
+            return fused
+        elapsed = time.perf_counter() - started
+        if self._telemetry is not None and records:
+            # Per-record ingest latency, attributed per fused pass: the
+            # pass is one unit of work.
+            self._h_ingest.observe(elapsed / records)
+        for (submission, session), reports in zip(flat, fanned):
+            try:
+                payloads = self._finish_observe(
+                    session, submission.request, reports
+                )
+            except Exception as error:  # pragma: no cover
+                payloads = self._error_payloads(
+                    submission.request.id, error
+                )
+            submission.resolve(payloads)
+        return fused
 
     def _score_prediction(self, session: Session, report) -> None:
         """Score the session's outstanding next-phase prediction against
@@ -1142,98 +770,6 @@ class PhaseService:
         if self._persistence is not None:
             diagnostics["checkpoint_failures"] = self.checkpoint_failures
         return diagnostics
-
-
-def _best_effort_id(line: bytes) -> Optional[int]:
-    """Recover the request id from a line that failed validation, so
-    the error response can still be matched to its request."""
-    try:
-        payload = json.loads(line)
-    except Exception:
-        return None
-    if isinstance(payload, dict):
-        request_id = payload.get("id")
-        if isinstance(request_id, int) and not isinstance(request_id, bool):
-            return request_id
-    return None
-
-
-# -- thread hosting -----------------------------------------------------------
-
-
-class ServiceHandle:
-    """A running service on a background thread (tests, demos, the
-    benchmark). Use as a context manager or call :meth:`stop`."""
-
-    def __init__(self, service: PhaseService, drain: bool = True) -> None:
-        self.service = service
-        self.drain = drain
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._error: Optional[BaseException] = None
-
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    @property
-    def host(self) -> str:
-        return self.service.host
-
-    def start(self, timeout: float = 10.0) -> "ServiceHandle":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-phase-service", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise ServiceUnavailableError(
-                "service failed to start within the timeout"
-            )
-        if self._error is not None:
-            raise ServiceUnavailableError(
-                f"service failed to start: {self._error}"
-            )
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.service.start())
-        except BaseException as error:
-            self._error = error
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_until_complete(self.service.serve_forever())
-        finally:
-            loop.close()
-
-    def stop(self, drain: Optional[bool] = None, timeout: float = 10.0) -> None:
-        """Shut the service down (draining by default) and join the
-        thread. Idempotent."""
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None or not thread.is_alive():
-            return
-        should_drain = self.drain if drain is None else drain
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.shutdown(drain=should_drain), loop
-        )
-        try:
-            future.result(timeout)
-        except Exception:
-            pass
-        thread.join(timeout)
-
-    def __enter__(self) -> "ServiceHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 def start_in_thread(**kwargs: object) -> ServiceHandle:

@@ -482,24 +482,15 @@ class SessionRegistry:
                 pass
 
     def pool_slot(self, session: Session) -> Optional[int]:
-        """The pool slot backing ``session``, or ``None``.
-
-        ``None`` means the session is on the per-session path: a
-        foreign-config scalar tracker, or a stale handle (the slot was
-        released under the facade, e.g. by a mid-round eviction). The
-        ingest coalescer uses this to decide which sessions join the
-        fused structure-of-arrays pass.
+        """The :attr:`pool` slot backing ``session``, or ``None`` when
+        the session owns its tracker (a foreign configuration) and so
+        takes the per-session path. The ingest coalescer uses this to
+        decide which sessions join the fused structure-of-arrays pass.
         """
         tracker = session.tracker
-        if not isinstance(tracker, PooledTracker):
-            return None
-        if tracker.pool is not self.pool:
-            return None
-        try:
-            tracker._check()
-        except PoolError:
-            return None
-        return tracker.slot
+        if isinstance(tracker, PooledTracker) and tracker.pool is self.pool:
+            return tracker.slot
+        return None
 
     # -- inspection -----------------------------------------------------------
 

@@ -169,7 +169,7 @@ class TestSlotLifecycle:
         """The service reports intervals/phase in close events after
         recycling, so a released facade must still answer the two
         read-only summary properties (mutation still raises)."""
-        pool = TrackerPool(capacity=1, auto_grow=False)
+        pool = TrackerPool(capacity=1)
         handle = pool.acquire(interval_instructions=50)
         handle.observe_batch([0x400, 0x404], [60, 60], cpi=1.0)
         intervals = handle.intervals_observed
@@ -183,7 +183,7 @@ class TestSlotLifecycle:
         assert handle.current_phase == phase
 
     def test_slot_reuse_gets_fresh_generation(self):
-        pool = TrackerPool(capacity=1, auto_grow=False)
+        pool = TrackerPool(capacity=1)
         first = pool.acquire()
         first.observe_branch(0x400, 10)
         first.release()
@@ -193,12 +193,6 @@ class TestSlotLifecycle:
         assert second.instructions_into_interval == 0
         with pytest.raises(PoolError):
             first.observe_branch(0x400, 10)
-
-    def test_full_pool_without_growth_raises(self):
-        pool = TrackerPool(capacity=1, auto_grow=False)
-        pool.acquire()
-        with pytest.raises(PoolError):
-            pool.acquire()
 
     def test_auto_grow_preserves_state(self):
         pool = TrackerPool(capacity=1)
@@ -393,7 +387,7 @@ class TestPoolTelemetry:
         assert metrics.get("repro_pool_releases_total").value == 1
 
     def test_grow_updates_capacity_gauge_and_counter(self):
-        pool, metrics = self.make(capacity=1, auto_grow=True)
+        pool, metrics = self.make(capacity=1)
         pool.allocate()
         pool.allocate()  # forces growth
         assert metrics.get("repro_pool_grows_total").value == 1
