@@ -93,8 +93,12 @@ def test_cold_hydrate_latency_flat_at_10k_sessions(tmp_path):
     from repro.core import PhaseTracker
 
     # One warmed tracker, checkpointed under many names: the on-disk
-    # population an LRU-capped server accumulates over days.
+    # population an LRU-capped server accumulates over days. Installed
+    # first — installing runs recovery — so the population is written
+    # straight into a live manager's cold set.
     manager = PersistenceManager(tmp_path / "data", sync="none")
+    registry = SessionRegistry(max_sessions=HYDRATE_SAMPLES + 1)
+    manager.install_into(registry)
     tracker = PhaseTracker(interval_instructions=INTERVAL_INSTRUCTIONS)
     pcs, counts = _branch_stream(seed=1, n=3_000)
     tracker.observe_batch(pcs, counts, cpi=1.1)
@@ -110,8 +114,6 @@ def test_cold_hydrate_latency_flat_at_10k_sessions(tmp_path):
         manager._cold[name] = 0
     populate = time.perf_counter() - start
 
-    registry = SessionRegistry(max_sessions=HYDRATE_SAMPLES + 1)
-    manager.install_into(registry)
     rng = np.random.default_rng(2)
     picks = rng.choice(COLD_SESSIONS, size=HYDRATE_SAMPLES, replace=False)
     start = time.perf_counter()

@@ -40,7 +40,6 @@ from repro.core.pool import (
     ClassifierPool,
     PooledTracker,
     TrackerPool,
-    classify_traces_batched,
 )
 from repro.core.signature import Signature
 from repro.core.signature_table import SignatureTable, TableEntry
@@ -63,7 +62,6 @@ __all__ = [
     "TableEntry",
     "TrackerPool",
     "TrackerReport",
-    "classify_traces_batched",
     "manhattan_distance",
     "relative_distance",
 ]

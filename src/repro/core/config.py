@@ -10,7 +10,8 @@ performance-deviation threshold when the adaptive classifier is enabled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from numbers import Integral, Real
+from typing import Optional, get_args, get_type_hints
 
 from repro.errors import ConfigurationError
 
@@ -77,6 +78,13 @@ class ClassifierConfig:
     perf_dev_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name, kinds in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigurationError(
+                    f"{name} must be {' or '.join(k.__name__ for k in kinds)}"
+                    f", got {value!r}"
+                )
         if self.num_counters <= 0 or self.num_counters & (
             self.num_counters - 1
         ):
@@ -160,3 +168,14 @@ class ClassifierConfig:
             min_count_threshold=8,
             perf_dev_threshold=0.25,
         )
+
+
+#: Field -> accepted value types, from the annotations (``int`` admits
+#: any integral, ``float`` any real number; ``bool`` never passes).
+_FIELD_KINDS = {
+    name: tuple(
+        {int: Integral, float: Real}.get(kind, kind)
+        for kind in get_args(hint) or (hint,)
+    )
+    for name, hint in get_type_hints(ClassifierConfig).items()
+}

@@ -25,8 +25,6 @@ in shared numpy arrays instead:
   :class:`~repro.core.online.PhaseTracker`, so registry sessions and
   snapshot/persistence code can hold a pool slot where they previously
   held a scalar tracker.
-- :func:`classify_traces_batched` — the experiment engine's opt-in
-  fast path: classify many whole traces in lockstep interval rounds.
 
 Equivalence contract
 --------------------
@@ -62,14 +60,19 @@ from repro.core.config import (
     ClassifierConfig,
 )
 from repro.core.distance import Normalizer, max_normalizer, sum_normalizer
-from repro.core.events import ClassificationResult, ClassificationRun
 from repro.core.online import PhaseChangeListener, TrackerReport
-from repro.errors import ConfigurationError, PoolError, PredictionError
-from repro.prediction import change_predictor_from_spec
+from repro.errors import (
+    STATE_ERRORS,
+    ConfigurationError,
+    PoolError,
+    PredictionError,
+    SnapshotError,
+)
+from repro.prediction import restore_predictors
 from repro.prediction.composite import CompositePhasePredictor
 from repro.prediction.length import PhaseLengthPredictor
 from repro.prediction.rle import RLEChangePredictor
-from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS, IntervalTrace
+from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
 
 #: Sentinel larger than any real tick / record index / target.
 _BIG = np.iinfo(np.int64).max
@@ -462,6 +465,8 @@ class ClassifierPool:
     def restore_slot(self, slot: int, state: dict) -> None:
         """Load scalar classifier state into a slot.
 
+        Shapes and ranges are trusted: the state is an export of this
+        configuration or passed :func:`repro.service.snapshot.decode`.
         Snapshot list order becomes ascending insertion ticks ``0..k-1``
         — valid because the stored clock is at least the total insert
         count, so every future tick sorts after every restored entry.
@@ -473,37 +478,15 @@ class ClassifierPool:
                 f"configuration: {exported} vs {self.config}"
             )
         table = state["table"]
-        entries = table["entries"]
-        if len(entries) > self.config.table_entries:
-            raise ConfigurationError(
-                f"snapshot has {len(entries)} table entries, pool table "
-                f"holds {self.config.table_entries}"
-            )
-        counters = np.asarray(
-            state["accumulator"]["counters"], dtype=np.int64
-        )
-        if counters.shape != (self.config.num_counters,):
-            raise ConfigurationError(
-                f"snapshot has {counters.size} counters, table has "
-                f"{self.config.num_counters}"
-            )
         self.reset_slots(np.array([slot]))
-        self._counters[slot] = counters
+        self._counters[slot] = state["accumulator"]["counters"]
         self._acc_total[slot] = int(state["accumulator"]["total"])
         self._next_phase_id[slot] = int(state["next_phase_id"])
         self._phases_allocated[slot] = int(state["phases_allocated"])
         self._clock[slot] = int(table["clock"])
         self._evictions[slot] = int(table["evictions"])
-        for position, record in enumerate(entries):
+        for position, record in enumerate(table["entries"]):
             values = np.asarray(record["values"], dtype=np.int64)
-            if values.shape != (self.config.num_counters,):
-                raise ConfigurationError(
-                    "snapshot entry signature has wrong dimensions"
-                )
-            if int(record["bits"]) != self.config.bits_per_counter:
-                raise ConfigurationError(
-                    "snapshot entry bits disagree with the configuration"
-                )
             self._sig[slot, position] = values
             self._sig_total[slot, position] = int(values.sum())
             self._threshold[slot, position] = float(record["threshold"])
@@ -1091,26 +1074,20 @@ class TrackerPool:
             "length_predictor": self._length[slot].export_state(),
         }
 
-    def restore_slot(self, slot: int, state: dict) -> None:
+    def restore_slot(
+        self, slot: int, state: dict, predictors: "Optional[tuple]" = None
+    ) -> None:
         """Load scalar tracker state into an allocated slot.
 
-        The slot's predictors are rebuilt from the snapshot's
-        ``change_predictor`` spec, exactly as
-        :func:`repro.service.snapshot.restore_tracker` does for scalar
-        trackers.
+        ``predictors``, the state's already restored
+        ``(next_phase, length_predictor)`` pair, saves rebuilding them.
         """
         self._check_slot(slot)
         self.classifiers.restore_slot(slot, state["classifier"])
-        change = change_predictor_from_spec(state.get("change_predictor"))
-        next_phase = CompositePhasePredictor(change)
-        next_phase.restore_state(state["next_phase"])
-        length = PhaseLengthPredictor()
-        length.restore_state(state["length_predictor"])
+        next_phase, length = predictors or restore_predictors(state)
         self._next_phase[slot] = next_phase
         self._length[slot] = length
-        self._interval_instructions[slot] = int(
-            state["interval_instructions"]
-        )
+        self._interval_instructions[slot] = int(state["interval_instructions"])
         self._instructions[slot] = int(state["instructions"])
         self._boundary_pending[slot] = bool(state["boundary_pending"])
         self._interval_index[slot] = int(state["interval_index"])
@@ -1118,30 +1095,32 @@ class TrackerPool:
         self._previous_phase[slot] = -1 if previous is None else int(previous)
         self._branches[slot] = int(state["branches_in_interval"])
 
-    def try_adopt(self, state: dict) -> "Optional[PooledTracker]":
+    def try_adopt(
+        self, state: dict, predictors: "Optional[tuple]" = None
+    ) -> "Optional[PooledTracker]":
         """Restore exported tracker state into a fresh slot, if this
         pool can host it.
 
         Returns ``None`` — a soft signal to fall back to a scalar
-        tracker — when the snapshot's configuration does not match the
-        pool's. Genuinely malformed state raises, with the slot
-        released first.
+        tracker — when the snapshot's configuration is unreadable or
+        not the pool's. State that will not load raises
+        :class:`~repro.errors.SnapshotError`, with the slot released
+        first. ``predictors`` is passed on to :meth:`restore_slot`.
         """
         try:
             exported = ClassifierConfig(**state["classifier"]["config"])
-        except (KeyError, TypeError, ConfigurationError):
+        except STATE_ERRORS:
             return None
         if exported != self.config:
             return None
-        slot = self.allocate(
-            interval_instructions=int(state["interval_instructions"]),
-            change_predictor=None,
-        )
+        slot = self.allocate(change_predictor=None)
         try:
-            self.restore_slot(slot, state)
-        except Exception:
+            self.restore_slot(slot, state, predictors)
+        except STATE_ERRORS as error:
             self.release(slot)
-            raise
+            raise SnapshotError(
+                f"snapshot state is malformed: {error}"
+            ) from None
         if self._m_adoptions is not None:
             self._m_adoptions.inc()
         return PooledTracker(self, slot)
@@ -1301,60 +1280,3 @@ class PooledTracker:
         """Pooled trackers do not carry per-slot telemetry."""
         return None
 
-
-def classify_traces_batched(
-    traces: Sequence[IntervalTrace],
-    config: Optional[ClassifierConfig] = None,
-) -> List[ClassificationRun]:
-    """Classify many traces in lockstep interval rounds on one pool.
-
-    Value-identical to running
-    :meth:`~repro.core.classifier.PhaseClassifier.classify_trace`
-    per trace (each slot is an independent classifier), but each round
-    ingests and classifies every still-running trace's next interval in
-    one vectorized pass — the experiment engine's opt-in fast path.
-    """
-    if not traces:
-        return []
-    pool = ClassifierPool(len(traces), config)
-    results: List[List[ClassificationResult]] = [[] for _ in traces]
-    lengths = [len(trace) for trace in traces]
-    for interval_index in range(max(lengths)):
-        ready = [
-            position for position, length in enumerate(lengths)
-            if interval_index < length
-        ]
-        intervals = [traces[position][interval_index] for position in ready]
-        slot_repeats = np.repeat(
-            np.asarray(ready, dtype=np.int64),
-            [interval.branch_pcs.size for interval in intervals],
-        )
-        pool.ingest(
-            slot_repeats,
-            np.concatenate([i.branch_pcs for i in intervals]),
-            np.concatenate([i.instr_counts for i in intervals]),
-        )
-        verdict = pool.classify(
-            np.asarray(ready, dtype=np.int64),
-            np.asarray([i.cpi for i in intervals], dtype=np.float64),
-        )
-        for row, position in enumerate(ready):
-            results[position].append(ClassificationResult(
-                phase_id=int(verdict["phase_id"][row]),
-                matched=bool(verdict["matched"][row]),
-                distance=float(verdict["distance"][row]),
-                threshold_tightened=bool(
-                    verdict["threshold_tightened"][row]
-                ),
-                new_phase_allocated=bool(
-                    verdict["new_phase_allocated"][row]
-                ),
-            ))
-    return [
-        ClassificationRun(
-            results=results[position],
-            num_phases=int(pool.phases_allocated[position]),
-            evictions=int(pool.evictions[position]),
-        )
-        for position in range(len(traces))
-    ]

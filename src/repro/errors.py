@@ -122,11 +122,19 @@ class SnapshotSchemaError(SnapshotError):
     """A snapshot document's ``schema_version`` does not match the one
     this build reads.
 
-    Raised by the envelope validators (``loads`` / ``restore_tracker``)
+    Raised by the envelope validators (``loads`` / ``decode``)
     *before* any component state is touched, so a version skew surfaces
     as one clear error instead of failing deep inside predictor
     restore.
     """
+
+
+#: What ``restore_state`` hooks raise on malformed state; the snapshot
+#: restore paths turn each into a :class:`SnapshotError`.
+STATE_ERRORS = (
+    ArithmeticError, AttributeError, LookupError, TypeError, ValueError,
+    ReproError,
+)
 
 
 class PersistenceError(ReproError):

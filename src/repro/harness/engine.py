@@ -44,7 +44,6 @@ from repro.core import (
     ClassificationRun,
     ClassifierConfig,
     PhaseClassifier,
-    classify_traces_batched,
 )
 from repro.errors import EngineError
 from repro.harness import cache
@@ -218,14 +217,6 @@ class ExperimentEngine:
     telemetry:
         Optional hub for engine counters/histograms
         (``repro_harness_engine_*``).
-    pooled:
-        Opt-in fast path: classify missing units on a
-        structure-of-arrays :class:`~repro.core.pool.ClassifierPool`
-        (one batched pass per config instead of one scalar classifier
-        per trace), in this process. Value-identical to the scalar
-        path; configs the pool cannot host (an infinite signature
-        table) fall back to scalar classification per trace. Takes
-        precedence over the process pool — ``jobs`` is ignored.
     """
 
     def __init__(
@@ -233,14 +224,12 @@ class ExperimentEngine:
         jobs: Optional[int] = None,
         store: "Optional[ResultStore]" = None,
         telemetry: "Optional[Telemetry]" = None,
-        pooled: bool = False,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise EngineError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.store = store
         self.telemetry = telemetry
-        self.pooled = pooled
 
     # -- internals --------------------------------------------------------
 
@@ -294,9 +283,7 @@ class ExperimentEngine:
         report.units = sum(len(cfgs) + 1 for cfgs in groups.values())
         start = time.perf_counter()
 
-        if self.pooled:
-            self._ensure_pooled(groups, report)
-        elif self.jobs == 1:
+        if self.jobs == 1:
             self._ensure_sequential(groups, report)
         else:
             self._ensure_parallel(groups, report)
@@ -350,55 +337,6 @@ class ExperimentEngine:
                     )
                 seconds = time.perf_counter() - unit_start
                 self._account(unit, source, seconds, report)
-
-    def _ensure_pooled(self, groups, report: EngineReport) -> None:
-        """Batch-classify every missing unit on a shared classifier
-        pool, one vectorized pass per distinct config."""
-        traces: Dict[Tuple[str, float], IntervalTrace] = {}
-        for (name, scale) in groups:
-            unit_start = time.perf_counter()
-            trace, source = cache.resolve_trace(name, scale)
-            cache.record_cache_event("trace", source == "memory")
-            self._account(
-                WorkUnit(name, scale), source,
-                time.perf_counter() - unit_start, report,
-            )
-            traces[(name, scale)] = trace
-
-        by_config: "Dict[ClassifierConfig, List[Tuple[str, float]]]" = {}
-        for (name, scale), configs in groups.items():
-            for config in configs:
-                resident = cache.peek_classified(name, config, scale)
-                cache.record_cache_event("classified", resident is not None)
-                if resident is not None:
-                    report.from_memory += 1
-                    continue
-                run = self._store_classified(name, scale, config)
-                if run is not None:
-                    cache.seed_classified(
-                        name, config, scale, run, write_store=False
-                    )
-                    report.from_store += 1
-                    continue
-                by_config.setdefault(config, []).append((name, scale))
-
-        for config, keys in by_config.items():
-            batch = [traces[key] for key in keys]
-            start = time.perf_counter()
-            if config.table_entries is None:
-                # The pool needs a finite table; classify scalar.
-                runs = [
-                    PhaseClassifier(config).classify_trace(trace)
-                    for trace in batch
-                ]
-            else:
-                runs = classify_traces_batched(batch, config)
-            per_unit = (time.perf_counter() - start) / len(keys)
-            for (name, scale), run in zip(keys, runs):
-                unit = WorkUnit(name, scale, config)
-                validate_unit_result(unit, traces[(name, scale)], run)
-                cache.seed_classified(name, config, scale, run)
-                self._account(unit, "computed", per_unit, report)
 
     def _ensure_parallel(self, groups, report: EngineReport) -> None:
         tasks: List[_GroupTask] = []

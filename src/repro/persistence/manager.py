@@ -13,15 +13,15 @@ registry exposes, plus the logging calls the server makes:
   session and register it *cold* instead of destroying its phase
   history.
 - **hydrate-on-demand** — installed as the registry's ``resolver``: a
-  request naming a cold session restores its checkpoint (byte-identical
-  to the never-evicted tracker, the property the test suite enforces)
-  and the registry re-installs it. No journal scan is needed: a cold
-  session's checkpoint is current by construction, because eviction
-  wrote it after the session's last observe.
-- **crash recovery** — construction replays the data directory
-  (:func:`~repro.persistence.recovery.recover_state`);
-  :meth:`install_into` re-registers the reconstructed sessions, letting
-  the registry's own eviction policy push overflow back to disk.
+  request naming a cold session lands its checkpoint on a pool slot
+  (byte-identical to the never-evicted tracker, the property the test
+  suite enforces). No journal scan is needed: a cold session's
+  checkpoint is current by construction, because eviction wrote it
+  after the session's last observe.
+- **crash recovery** — :meth:`install_into` replays the data directory
+  onto the registry (:func:`~repro.persistence.recovery.recover_state`)
+  and re-registers the reconstructed sessions, letting the registry's
+  own eviction policy push overflow back to disk.
 - **checkpoint + compact** — :meth:`checkpoint_all` snapshots dirty
   sessions (the server runs it on a timer and at shutdown), after
   which :meth:`compact` drops journal segments nobody needs.
@@ -37,15 +37,16 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
+from functools import partial
 from typing import Callable, Dict, Iterable, Optional, TYPE_CHECKING, Union
 
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, SnapshotError
 from repro.persistence.checkpoints import CheckpointStore
 from repro.persistence.compaction import compact_journal
 from repro.persistence.journal import Journal
 from repro.persistence.recovery import RecoveryResult, recover_state
 from repro.service.session import Session, SessionRegistry
-from repro.service.snapshot import restore_tracker, snapshot_tracker
+from repro.service.snapshot import snapshot_tracker
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from repro.telemetry import Telemetry
@@ -54,10 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
 class PersistenceManager:
     """Durable sessions for one data directory.
 
-    Constructing the manager *is* recovery: the journal is replayed
-    (torn tail truncated, a counted non-fatal event) and every session
-    the directory knows is reconstructed — materialized when it had a
-    replay tail, left cold when its checkpoint is current.
+    Installing the manager (:meth:`install_into`) *is* recovery: the
+    journal is replayed (torn tail truncated, a counted non-fatal
+    event) and every session the directory knows is reconstructed —
+    materialized onto the registry's trackers when it had a replay
+    tail, left cold when its checkpoint is current. The journal opens
+    there, so install the manager before logging through it.
 
     Parameters
     ----------
@@ -90,27 +93,22 @@ class PersistenceManager:
         self.journal_root = self.root / "journal"
         self._telemetry = telemetry
         self._clock = clock
+        self._open_journal = partial(
+            Journal, self.journal_root, sync=sync,
+            segment_bytes=segment_bytes, batch_records=batch_records,
+            telemetry=telemetry,
+        )
         self.checkpoints = CheckpointStore(
             self.root / "checkpoints",
             fsync=sync != "none",
             telemetry=telemetry,
         )
-        self.recovery: RecoveryResult = recover_state(
-            self.journal_root, self.checkpoints, telemetry
-        )
-        self.journal = Journal(
-            self.journal_root,
-            sync=sync,
-            segment_bytes=segment_bytes,
-            batch_records=batch_records,
-            next_seq=self.recovery.next_seq,
-            telemetry=telemetry,
-        )
-        for name in self.recovery.closed:
-            self.checkpoints.delete(name)
+        #: Set by :meth:`install_into`.
+        self.recovery: Optional[RecoveryResult] = None
+        self.journal: Optional[Journal] = None
 
         #: Cold sessions on disk: name -> the seq their checkpoint covers.
-        self._cold: Dict[str, int] = dict(self.recovery.cold)
+        self._cold: Dict[str, int] = {}
         #: Live sessions' last journaled seq.
         self._session_seqs: Dict[str, int] = {}
         #: Live sessions' last checkpointed seq.
@@ -134,19 +132,28 @@ class PersistenceManager:
                 "repro_persistence_cold_sessions",
                 "Sessions evicted to disk, hydrate-on-demand",
             )
-            self._g_cold.set(len(self._cold))
 
     # -- registry wiring ------------------------------------------------------
 
     def install_into(self, registry: SessionRegistry) -> int:
-        """Wire the registry's persistence hooks and re-install the
-        sessions recovery materialized; returns how many went live.
+        """Recover the data directory onto ``registry`` (default-config
+        sessions on its pool's slots), open the journal, wire the
+        registry's persistence hooks and re-install the recovered
+        sessions; returns how many went live.
 
         Installation is oldest-activity-first, so when the recovered
         population exceeds the registry cap, the registry's own LRU
         eviction (now persistence-backed) pushes the stalest ones
         straight back to disk as cold sessions.
         """
+        self.recovery = recover_state(
+            self.journal_root, self.checkpoints, registry, self._telemetry
+        )
+        self.journal = self._open_journal(next_seq=self.recovery.next_seq)
+        for name in self.recovery.closed:
+            self.checkpoints.delete(name)
+        self._cold = dict(self.recovery.cold)
+        self._set_cold_gauge()
         registry.on_evict = self.save_session
         registry.resolver = self.resolve
         registry.name_reserved = self.contains_cold
@@ -213,13 +220,20 @@ class PersistenceManager:
         self._checkpoint_seqs.pop(name, None)
         return seq
 
-    def log_observe(self, name: str, pcs, counts, cpi: float = 1.0) -> int:
-        """Journal one applied observe batch; returns the record's seq."""
+    def log_observe(
+        self, name: str, pcs: list[int], counts: list[int], cpi: float = 1.0
+    ) -> int:
+        """Journal one applied observe batch; returns the record's seq.
+
+        ``pcs`` and ``counts`` are lists of ``int``, as
+        :func:`~repro.service.protocol.observe_request` validates them;
+        they are encoded without a copy.
+        """
         seq = self.journal.append({
             "kind": "observe",
             "session": name,
-            "pcs": [int(pc) for pc in pcs],
-            "counts": [int(count) for count in counts],
+            "pcs": pcs,
+            "counts": counts,
             "cpi": float(cpi),
         })
         self._session_seqs[name] = seq
@@ -254,15 +268,19 @@ class PersistenceManager:
                 session=session.name, reason=reason, covered_seq=seq,
             )
 
-    def resolve(self, name: str) -> Optional[Session]:
+    def resolve(
+        self, name: str, land: Callable[[dict], object]
+    ) -> Optional[Session]:
         """The registry's ``resolver``: hydrate a cold session.
 
-        Returns ``None`` when the name is unknown or its checkpoint is
-        unreadable (a counted failure — the registry then reports the
-        session as not found, the same as any reclaimed session).
+        Hands the checkpoint's snapshot to ``land``; the session leaves
+        the cold set only after ``land`` returned, so a refused
+        admission keeps it on disk. Returns ``None`` when the name is
+        unknown or its checkpoint is unreadable or invalid (a counted
+        failure — the registry then reports the session as not found,
+        the same as any reclaimed session).
         """
-        seq = self._cold.get(name)
-        if seq is None:
+        if name not in self._cold:
             return None
         document = self.checkpoints.load(name)
         if document is None:
@@ -276,25 +294,25 @@ class PersistenceManager:
             self._set_cold_gauge()
             return None
         try:
-            session = Session(
-                name,
-                restore_tracker(document["snapshot"]),
-                self._clock(),
-                restored=True,
-            )
-        except Exception:
+            seq = int(document["seq"])
+            meta = document.get("meta") or {}
+            intervals_pushed = int(meta.get("intervals_pushed", 0))
+            branches_ingested = int(meta.get("branches_ingested", 0))
+            tracker = land(document["snapshot"])
+        except (SnapshotError, AttributeError, LookupError, TypeError,
+                ValueError):
             self._cold.pop(name, None)
             self._set_cold_gauge()
             self.hydrate_failures += 1
             if self._telemetry is not None:
                 self._telemetry.emit("hydrate_failed", session=name)
             return None
-        meta = document.get("meta") or {}
-        session.intervals_pushed = int(meta.get("intervals_pushed", 0))
-        session.branches_ingested = int(meta.get("branches_ingested", 0))
+        session = Session(name, tracker, self._clock(), restored=True)
+        session.intervals_pushed = intervals_pushed
+        session.branches_ingested = branches_ingested
         self._cold.pop(name, None)
-        self._session_seqs[name] = int(document["seq"])
-        self._checkpoint_seqs[name] = int(document["seq"])
+        self._session_seqs[name] = seq
+        self._checkpoint_seqs[name] = seq
         self._set_cold_gauge()
         self.hydrated += 1
         if self._telemetry is not None:
@@ -381,7 +399,8 @@ class PersistenceManager:
 
     def close(self) -> None:
         """Sync and close the journal. Idempotent."""
-        self.journal.close()
+        if self.journal is not None:
+            self.journal.close()
 
     def __enter__(self) -> "PersistenceManager":
         return self

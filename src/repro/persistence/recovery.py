@@ -7,15 +7,16 @@ directory, tolerating everything a ``kill -9`` leaves behind:
 2. Replay the journal in sequence order (torn tails truncated by
    :func:`~repro.persistence.journal.replay_journal`):
 
-   - an ``open`` record *materializes* a fresh tracker — unless a
-     checkpoint already covers it;
+   - an ``open`` record *materializes* the tracker the registry's open
+     would build (``checkout``, or ``land`` of its decoded snapshot) —
+     unless a checkpoint already covers it;
    - an ``observe`` record is applied through the tracker's own
-     ``observe_batch`` (the vectorized ingest path the live service
-     uses, so replayed state is byte-identical to never-crashed
-     state). A session whose first uncovered record is an observe is
-     materialized from its checkpoint on demand;
-   - a ``close`` record drops the session and schedules its checkpoint
-     for deletion.
+     ``observe_batch`` — for default-config sessions a pool slot, the
+     kernel the live service runs — so replayed state is
+     byte-identical to never-crashed state. A session whose first
+     uncovered record is an observe is landed from its checkpoint;
+   - a ``close`` record drops the session (releasing its slot) and
+     schedules its checkpoint for deletion.
 
 3. Sessions that needed no replay stay **cold**: their checkpoint is
    current, so they hydrate on first touch instead of occupying RAM —
@@ -34,11 +35,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, TYPE_CHECKING, Union
 
 from repro.core.online import PhaseTracker
+from repro.core.pool import PooledTracker
 from repro.errors import PersistenceError, ReproError
 from repro.persistence.checkpoints import CheckpointStore
 from repro.persistence.journal import ReplayStats, replay_journal
-from repro.service.session import build_config
-from repro.service.snapshot import restore_tracker
+from repro.service.session import SessionRegistry, build_config
+from repro.service.snapshot import decode
 from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
@@ -50,7 +52,7 @@ class RecoveredSession:
     """One session materialized during replay."""
 
     name: str
-    tracker: PhaseTracker
+    tracker: "PhaseTracker | PooledTracker"
     intervals_pushed: int = 0
     branches_ingested: int = 0
     #: Highest journal seq applied to (or covering) this session.
@@ -85,12 +87,12 @@ class RecoveryResult:
         return len(self.live) + len(self.cold)
 
 
-def _materialize_open(record: dict) -> PhaseTracker:
+def _materialize_open(record: dict, registry: SessionRegistry):
     """Build the tracker an ``open`` record describes, exactly as the
     registry's open path would."""
     snapshot = record.get("snapshot")
     if snapshot is not None:
-        return restore_tracker(snapshot)
+        return registry.land(decode(snapshot))
     if record.get("snapshot_ref") == "checkpoint":
         # The restore snapshot was too large to travel inline and was
         # published as a checkpoint covering this record. Reaching
@@ -100,36 +102,48 @@ def _materialize_open(record: dict) -> PhaseTracker:
             "open record references a checkpointed snapshot that no "
             "longer exists"
         )
-    return PhaseTracker(
+    return registry.checkout(
         build_config(record.get("config")),
-        interval_instructions=(
-            record.get("interval_instructions")
-            or DEFAULT_INTERVAL_INSTRUCTIONS
-        ),
+        record.get("interval_instructions") or DEFAULT_INTERVAL_INSTRUCTIONS,
     )
 
 
-def _materialize_checkpoint(document: dict) -> RecoveredSession:
+def _materialize_checkpoint(
+    document: dict, registry: SessionRegistry
+) -> RecoveredSession:
     meta = document.get("meta") or {}
+    seq = int(document["seq"])
+    intervals_pushed = int(meta.get("intervals_pushed", 0))
+    branches_ingested = int(meta.get("branches_ingested", 0))
+    # Land last: nothing after it may fail and strand the slot.
     return RecoveredSession(
         name=document["session"],
-        tracker=restore_tracker(document["snapshot"]),
-        intervals_pushed=int(meta.get("intervals_pushed", 0)),
-        branches_ingested=int(meta.get("branches_ingested", 0)),
-        last_seq=int(document["seq"]),
-        checkpoint_seq=int(document["seq"]),
+        tracker=registry.land(decode(document["snapshot"])),
+        intervals_pushed=intervals_pushed,
+        branches_ingested=branches_ingested,
+        last_seq=seq,
+        checkpoint_seq=seq,
     )
+
+
+def _discard(live: Dict[str, RecoveredSession], name: str) -> None:
+    """Forget a materialized session, giving its pool slot back."""
+    session = live.pop(name, None)
+    if session is not None and isinstance(session.tracker, PooledTracker):
+        session.tracker.release()
 
 
 def recover_state(
     journal_root: Union[str, Path],
     checkpoints: CheckpointStore,
+    registry: SessionRegistry,
     telemetry: "Optional[Telemetry]" = None,
 ) -> RecoveryResult:
     """Rebuild the session population from ``journal_root`` plus
-    ``checkpoints``. Never raises for on-disk damage — torn tails,
-    unreadable checkpoints, and unappliable records are counted (and
-    reported via telemetry events) instead."""
+    ``checkpoints`` onto ``registry``'s trackers (not yet admitted:
+    the caller adopts them). Never raises for on-disk damage — torn
+    tails, unreadable checkpoints, and unappliable records are counted
+    (and reported via telemetry events) instead."""
     result = RecoveryResult()
     documents = checkpoints.load_all()
     checkpoint_seq = {
@@ -161,8 +175,9 @@ def recover_state(
             if covered is not None and covered >= seq:
                 result.skipped_records += 1
                 continue
+            _discard(live, name)
             try:
-                tracker = _materialize_open(record)
+                tracker = _materialize_open(record, registry)
             except ReproError:
                 result.damaged_sessions += 1
                 dead.add(name)
@@ -189,7 +204,9 @@ def recover_state(
                     result.skipped_records += 1
                     continue
                 try:
-                    session = _materialize_checkpoint(documents[name])
+                    session = _materialize_checkpoint(
+                        documents[name], registry
+                    )
                 except (ReproError, KeyError, TypeError, ValueError):
                     result.damaged_sessions += 1
                     dead.add(name)
@@ -206,7 +223,7 @@ def recover_state(
                 # last good checkpoint rather than serve half-replayed
                 # state.
                 result.damaged_sessions += 1
-                live.pop(name, None)
+                _discard(live, name)
                 if name not in checkpoint_seq:
                     dead.add(name)
                 if telemetry is not None:
@@ -221,7 +238,7 @@ def recover_state(
             result.replayed_records += 1
 
         elif kind == "close":
-            live.pop(name, None)
+            _discard(live, name)
             covered = checkpoint_seq.get(name)
             # A checkpoint stamped *after* this close belongs to a
             # newer incarnation of the name (close -> reopen ->

@@ -35,7 +35,7 @@ with ``advance(phase_id)`` and read the uniform
 richer ``step``/``predict`` interface trackers consume.
 """
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import SnapshotError
 from repro.prediction.assoc_table import AssociativeTable
@@ -90,6 +90,21 @@ def change_predictor_from_spec(spec: "Optional[dict]"):
         ) from error
 
 
+def restore_predictors(
+    state: dict,
+) -> "Tuple[CompositePhasePredictor, PhaseLengthPredictor]":
+    """The next-phase and length predictors a tracker snapshot's
+    ``state`` carries, rebuilt (:func:`change_predictor_from_spec`) and
+    restored from their tables."""
+    next_phase = CompositePhasePredictor(
+        change_predictor_from_spec(state.get("change_predictor"))
+    )
+    next_phase.restore_state(state["next_phase"])
+    length = PhaseLengthPredictor()
+    length.restore_state(state["length_predictor"])
+    return next_phase, length
+
+
 __all__ = [
     "AssociativeTable",
     "CHANGE_PREDICTOR_KINDS",
@@ -110,4 +125,5 @@ __all__ = [
     "change_predictor_from_spec",
     "evaluate_change_predictor",
     "length_class",
+    "restore_predictors",
 ]

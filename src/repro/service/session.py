@@ -17,6 +17,7 @@ sessions with three protection mechanisms a long-lived service needs:
   sized ``max_sessions`` and growing on demand. Default-config sessions
   live on its slots however they arrive (open, snapshot open, hydrate,
   crash recovery); only foreign configurations get scalar trackers.
+  Snapshots are decoded before admission and land directly on a slot.
   Closed and evicted sessions release their slot for reuse.
 
 Reclamation is observable and interceptable: before the LRU cap or the
@@ -50,7 +51,7 @@ from repro.errors import (
     SessionExistsError,
     SessionNotFoundError,
 )
-from repro.service.snapshot import restore_tracker
+from repro.service.snapshot import DecodedSnapshot, decode
 from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
@@ -133,9 +134,12 @@ class SessionRegistry:
         hook that raises does not block reclamation; the drop is then
         counted as lost, not saved.
     resolver:
-        Miss hook ``(name) -> Optional[Session]`` consulted by
+        Miss hook ``(name, land) -> Optional[Session]`` consulted by
         :meth:`get` and :meth:`close` before reporting
-        :class:`SessionNotFoundError` — the hydrate-on-demand point.
+        :class:`SessionNotFoundError` — the hydrate-on-demand point. For
+        a name it holds it gets the tracker from ``land(snapshot)``
+        (on :meth:`get`: decode, admit, restore; on :meth:`close`:
+        decode only) and commits only after that returned.
     name_reserved:
         Predicate ``(name) -> bool`` marking names that are taken even
         though not live (evicted-to-disk sessions); :meth:`open`
@@ -158,7 +162,7 @@ class SessionRegistry:
         telemetry: "Optional[Telemetry]" = None,
         clock: Callable[[], float] = time.monotonic,
         on_evict: "Optional[Callable[[Session, str], None]]" = None,
-        resolver: "Optional[Callable[[str], Optional[Session]]]" = None,
+        resolver: "Optional[Callable[..., Optional[Session]]]" = None,
         name_reserved: Optional[Callable[[str], bool]] = None,
     ) -> None:
         if max_sessions <= 0:
@@ -252,19 +256,18 @@ class SessionRegistry:
                 "use — close it first to reuse the name"
             )
 
-        self._make_room()
-
         if snapshot is not None:
-            tracker = restore_tracker(snapshot)
+            tracker = self._admit_snapshot(snapshot)
         else:
-            tracker = self._checkout_tracker(
-                build_config(config),
+            classifier_config = build_config(config)
+            self._make_room()
+            tracker = self.checkout(
+                classifier_config,
                 interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS,
             )
         session = Session(
             name, tracker, self.clock(), restored=snapshot is not None
         )
-        self._home(session)
         self._sessions[name] = session
         self.sessions_opened += 1
         self._emit(
@@ -297,15 +300,13 @@ class SessionRegistry:
         Takes the normal admission path — idle sweep, then LRU
         eviction or :class:`ServiceOverloadedError` when full — but
         counts separately from :meth:`open`, since nothing new was
-        created. A scalar tracker with the pool's configuration moves
-        onto a pool slot.
+        created.
         """
         if session.name in self._sessions:
             raise SessionExistsError(
                 f"session {session.name!r} is already open"
             )
         self._make_room()
-        self._home(session)
         self._sessions[session.name] = session
         self.sessions_adopted += 1
         self._emit("session_adopted", session)
@@ -315,11 +316,12 @@ class SessionRegistry:
         """Close a session, releasing its pool slot (if any).
 
         Closing an evicted-to-disk session works too: the ``resolver``
-        hook materializes it just long enough to account for it.
+        hook hands back a session whose tracker is its decoded
+        snapshot, which answers what a close reports without a slot.
         """
         session = self._sessions.pop(name, None)
         if session is None and self.resolver is not None:
-            session = self.resolver(name)
+            session = self.resolver(name, decode)
         if session is None:
             raise SessionNotFoundError(f"session {name!r} does not exist")
         self.sessions_closed += 1
@@ -416,43 +418,38 @@ class SessionRegistry:
         return saved
 
     def _hydrate(self, name: str) -> Optional[Session]:
-        """Ask the resolver for an evicted-to-disk session and
-        re-install it under the normal admission path, on a pool slot
-        when its configuration matches the pool's."""
+        """Ask the resolver for an evicted-to-disk session, landed by
+        :meth:`_admit_snapshot` (an unknown name never evicts)."""
         if self.resolver is None:
             return None
-        session = self.resolver(name)
+        session = self.resolver(name, self._admit_snapshot)
         if session is None:
             return None
-        try:
-            self._make_room()
-        except Exception:
-            # Resolving consumed the durable tier's cold copy; with the
-            # table full and eviction disabled, hand the session
-            # straight back to disk before surfacing the refusal, or
-            # its state (and name reservation) would be silently lost.
-            if self.on_evict is not None:
-                try:
-                    self.on_evict(session, "hydrate_refused")
-                except Exception as error:
-                    if self._telemetry is not None:
-                        self._telemetry.emit(
-                            "session_evict_hook_failed",
-                            session=session.name, reason="hydrate_refused",
-                            error=f"{type(error).__name__}: {error}",
-                        )
-            raise
-        self._home(session)
         self._sessions[name] = session
         self.sessions_hydrated += 1
         self._emit("session_hydrated", session)
         return session
 
-    def _checkout_tracker(
+    def _admit_snapshot(self, document: dict):
+        """Decode (a rejected document evicts nothing), make room, then
+        :meth:`land` — on the slot an eviction just freed."""
+        decoded = decode(document)
+        self._make_room()
+        return self.land(decoded)
+
+    def land(self, decoded: DecodedSnapshot):
+        """The tracker a decoded snapshot restores onto: a slot of
+        :attr:`pool` when its configuration is the pool's, else a
+        scalar tracker. Claims a slot, so admit the session first."""
+        if self.pool.compatible(decoded.config):
+            return self.pool.try_adopt(decoded.state, decoded.predictors)
+        return decoded.scalar_tracker()
+
+    def checkout(
         self, config: ClassifierConfig, interval_instructions: int
     ) -> PhaseTracker:
-        """A pool slot for the pool's configuration, else a scalar
-        tracker."""
+        """A fresh tracker: a slot of :attr:`pool` for the pool's
+        configuration, else a scalar tracker."""
         if self.pool.compatible(config):
             return self.pool.acquire(
                 interval_instructions=interval_instructions
@@ -460,17 +457,6 @@ class SessionRegistry:
         return PhaseTracker(
             config, interval_instructions=interval_instructions
         )
-
-    def _home(self, session: Session) -> None:
-        """Move a scalar tracker with the pool's configuration onto a
-        pool slot — the one place restored trackers (snapshot open,
-        hydrate, crash recovery) join the pool. Called after admission
-        made room, so the slot an eviction just freed is reused."""
-        tracker = session.tracker
-        if isinstance(tracker, PooledTracker):
-            return
-        if self.pool.compatible(tracker.classifier.config):
-            session.tracker = self.pool.try_adopt(tracker.export_state())
 
     @staticmethod
     def _release(session: Session) -> None:

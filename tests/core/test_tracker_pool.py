@@ -14,7 +14,6 @@ from repro.core import (
     PhaseClassifier,
     PhaseTracker,
     TrackerPool,
-    classify_traces_batched,
 )
 from repro.core.distance import max_normalizer, sum_normalizer
 from repro.errors import (
@@ -309,21 +308,6 @@ def _pool_classify_with_normalizer(trace, config, normalizer):
             new_phase_allocated=bool(verdict["new_phase_allocated"][0]),
         ))
     return results
-
-
-@pytest.mark.parametrize("config", CONFIGS)
-def test_classify_traces_batched_matches_scalar(config):
-    traces = [_make_trace(seed, 8 + seed % 5) for seed in range(7)]
-    batched = classify_traces_batched(traces, config)
-    for trace, run in zip(traces, batched):
-        reference = PhaseClassifier(config).classify_trace(trace)
-        assert run.results == reference.results
-        assert run.num_phases == reference.num_phases
-        assert run.evictions == reference.evictions
-
-
-def test_classify_traces_batched_empty():
-    assert classify_traces_batched([], ClassifierConfig.paper_default()) == []
 
 
 def test_pooled_reports_are_json_safe():

@@ -343,6 +343,7 @@ class TestMaintenance:
 
     def test_context_manager_closes_journal(self, tmp_path):
         with PersistenceManager(tmp_path / "data") as manager:
+            manager.install_into(SessionRegistry())
             manager.log_open("a", interval_instructions=1_000)
         assert manager.journal.closed
 
@@ -377,3 +378,62 @@ class TestTelemetry:
             "repro_persistence_cold_sessions"
         ).value == 1
         assert manager.cold_names() == ["b"]
+
+
+class TestOneRestorePath:
+    def test_default_config_restores_never_build_a_scalar_tracker(
+        self, tmp_path, monkeypatch
+    ):
+        """Snapshot open, evict -> hydrate and crash recovery (an open
+        record with a restore snapshot, a fresh open record, and a
+        checkpoint plus journal tail) all land default-config state
+        straight on pool slots: the scalar restore and export hooks are
+        never called."""
+        from repro.core.pool import PooledTracker
+
+        def refuse(self, *args):
+            raise AssertionError("default-config restore went scalar")
+
+        monkeypatch.setattr(PhaseTracker, "restore_state", refuse)
+        monkeypatch.setattr(PhaseTracker, "export_state", refuse)
+        batches = branch_batches(seed=21, batches=4)
+
+        manager, registry, _ = durable_registry(tmp_path, max_sessions=3)
+        source = open_and_drive(manager, registry, "source", batches)
+        document = snapshot_tracker(source.tracker)
+        open_and_drive(manager, registry, "a", batches[:1])
+        open_and_drive(manager, registry, "b", batches[:1])
+        copy = registry.open("copy", snapshot=document)  # evicts source
+        manager.log_open(
+            "copy", interval_instructions=INTERVAL_INSTRUCTIONS,
+            snapshot=document,
+        )
+        assert snapshot_tracker(copy.tracker) == document
+        assert manager.cold_names() == ["source"]
+        for name in ("a", "b"):
+            registry.close(name)
+            manager.log_close(name)
+        open_and_drive(manager, registry, "fresh", batches[:2])
+        hydrated = registry.get("source")
+        assert snapshot_tracker(hydrated.tracker) == document
+        drive(manager, hydrated, batches[:1])
+        drive(manager, copy, batches[1:3])
+        before = {
+            session.name: dumps(snapshot_tracker(session.tracker))
+            for session in registry.sessions()
+        }
+        del manager, registry  # kill -9
+
+        manager2, registry2, installed = durable_registry(
+            tmp_path, max_sessions=3
+        )
+        live = manager2.recovery.live
+        assert installed == 3
+        assert live["source"].checkpoint_seq is not None
+        assert live["copy"].first_seq is not None
+        assert live["fresh"].first_seq is not None
+        assert registry2.pool.active_slots == 3
+        for name, expected in before.items():
+            tracker = registry2.get(name).tracker
+            assert isinstance(tracker, PooledTracker)
+            assert dumps(snapshot_tracker(tracker)) == expected

@@ -14,6 +14,7 @@ from repro.persistence import (
     replay_journal,
 )
 from repro.persistence.journal import segment_first_seq
+from repro.service.session import SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
 
 INTERVAL_INSTRUCTIONS = 2_000
@@ -65,7 +66,7 @@ class TestReplay:
                 reference.observe_batch(pcs, counts, cpi=1.1)
                 journal.append(observe_record("a", pcs, counts))
 
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert list(result.live) == ["a"]
         assert result.cold == {} and result.closed == []
         recovered = result.live["a"]
@@ -91,7 +92,7 @@ class TestReplay:
             "meta": {},
         })
 
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.live == {}
         assert result.cold == {"a": last}
         assert result.replayed_records == 0
@@ -116,7 +117,7 @@ class TestReplay:
                                  "branches_ingested": 3 * 200},
                     })
 
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         recovered = result.live["a"]
         assert recovered.checkpoint_seq is not None
         assert result.replayed_records == 3  # only the tail
@@ -134,7 +135,7 @@ class TestReplay:
             journal.append(observe_record("a", pcs, counts))  # seq 2
             journal.append({"kind": "close", "session": "a"})  # seq 3
 
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.live == {} and result.cold == {}
         assert result.closed == ["a"]  # its checkpoint file lingers
 
@@ -157,7 +158,7 @@ class TestReplay:
             "meta": {},
         })
 
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.closed == []
         assert result.cold == {"a": last}
 
@@ -168,7 +169,7 @@ class TestReplay:
             # No open record, no checkpoint: its open was compacted
             # away and the checkpoint was lost.
             journal.append(observe_record("ghost", pcs, counts))
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.orphaned_records == 1
         assert result.live == {} and result.damaged_sessions == 0
 
@@ -187,7 +188,7 @@ class TestReplay:
                 "kind": "observe", "session": "a",
                 "pcs": "not-a-list", "counts": None, "cpi": 1.0,
             })
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.damaged_sessions == 1
         # Demoted, not dropped: the last good checkpoint still serves.
         assert result.cold == {"a": 1}
@@ -200,7 +201,7 @@ class TestReplay:
                 "kind": "observe", "session": "a",
                 "pcs": "junk", "counts": "junk", "cpi": 1.0,
             })
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.damaged_sessions == 1
         assert result.live == {} and result.cold == {}
 
@@ -221,7 +222,7 @@ class TestReplay:
         with open(segment, "rb+") as handle:
             handle.truncate(segment.stat().st_size - 5)
 
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.journal.torn_tails == 1
         recovered = result.live["a"]
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
@@ -243,7 +244,7 @@ class TestReplay:
             "snapshot": snapshot_tracker(tracker),
             "meta": {},
         })
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.cold == {"a": 9}
         assert result.next_seq == 10
 
@@ -258,7 +259,7 @@ class TestReplay:
             journal.append(
                 dict(open_record("a"), snapshot_ref="checkpoint")
             )
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.damaged_sessions == 1
         assert result.live == {} and result.cold == {}
 
@@ -267,7 +268,7 @@ class TestReplay:
         with Journal(journal_root) as journal:
             journal.append({"kind": "vacuum", "session": "a"})
             journal.append({"kind": "open"})  # no session name
-        result = recover_state(journal_root, checkpoints)
+        result = recover_state(journal_root, checkpoints, SessionRegistry())
         assert result.orphaned_records == 2
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import ClassifierConfig, PhaseTracker
 from repro.persistence import CheckpointStore, Journal, recover_state
+from repro.service.session import SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
 
 INTERVAL_INSTRUCTIONS = 1_500
@@ -93,7 +94,7 @@ def test_checkpoint_plus_tail_replay_is_byte_identical(
                     "meta": {},
                 })
 
-    result = recover_state(root / "journal", checkpoints)
+    result = recover_state(root / "journal", checkpoints, SessionRegistry())
     assert result.damaged_sessions == 0
     assert result.orphaned_records == 0
     if checkpoint_after == len(batches) and checkpoint_after > 0:
@@ -145,7 +146,7 @@ def test_torn_tail_recovers_a_valid_prefix(
         handle.truncate(max(0, segment.stat().st_size - cut_bytes))
 
     checkpoints = CheckpointStore(root / "checkpoints")
-    result = recover_state(root / "journal", checkpoints)
+    result = recover_state(root / "journal", checkpoints, SessionRegistry())
     assert result.damaged_sessions == 0
     surviving = result.replayed_records - (1 if result.live else 0)
 

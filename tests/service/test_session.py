@@ -13,6 +13,9 @@ from repro.service.session import SessionRegistry
 from repro.service.snapshot import snapshot_tracker
 from repro.telemetry import EventLog, Telemetry, read_events
 
+#: What a resolver hands to ``land``: a fresh tracker's snapshot.
+FRESH_SNAPSHOT = snapshot_tracker(PhaseTracker())
+
 
 class FakeClock:
     def __init__(self):
@@ -279,10 +282,12 @@ class TestReclamationHooks:
 
         made = []
 
-        def resolver(name):
+        def resolver(name, land):
             if name != "phoenix":
                 return None
-            session = Session(name, PhaseTracker(), 0.0, restored=True)
+            session = Session(
+                name, land(FRESH_SNAPSHOT), 0.0, restored=True
+            )
             made.append(session)
             return session
 
@@ -302,8 +307,8 @@ class TestReclamationHooks:
 
         registry = SessionRegistry(
             max_sessions=1,
-            resolver=lambda name: Session(
-                name, PhaseTracker(), 0.0, restored=True
+            resolver=lambda name, land: Session(
+                name, land(FRESH_SNAPSHOT), 0.0, restored=True
             ),
         )
         registry.open(name="a")
@@ -311,40 +316,50 @@ class TestReclamationHooks:
         assert "a" not in registry and "phoenix" in registry
         assert registry.stats()["evicted"] == 1
 
-    def test_refused_hydration_hands_the_session_back(self):
+    def test_refused_hydration_leaves_the_session_cold(self):
         from repro.service.session import Session
 
-        shelf = {
-            "phoenix": Session(
-                "phoenix", PhaseTracker(), 0.0, restored=True
-            )
-        }
+        shelf = {"phoenix": FRESH_SNAPSHOT}
         returned = []
+
+        def resolver(name, land):
+            if name not in shelf:
+                return None
+            session = Session(name, land(shelf[name]), 0.0, restored=True)
+            del shelf[name]
+            return session
+
         registry = SessionRegistry(
             max_sessions=1, evict_lru=False,
-            resolver=lambda name: shelf.pop(name, None),
+            resolver=resolver,
             on_evict=lambda s, r: returned.append((s.name, r)),
         )
         registry.open(name="a")
         with pytest.raises(ServiceOverloadedError):
             registry.get("phoenix")
-        # Resolving consumed the shelf copy; the evict hook must get
-        # the session back instead of it being silently dropped.
-        assert returned == [("phoenix", "hydrate_refused")]
+        # Admission refuses inside ``land``, before the resolver
+        # commits: the shelf keeps its copy, so nothing needs handing
+        # back through the evict hook, and no slot was claimed.
+        assert shelf == {"phoenix": FRESH_SNAPSHOT}
+        assert returned == []
         assert "phoenix" not in registry
+        assert registry.pool.active_slots == 1
 
     def test_close_miss_consults_resolver(self):
         from repro.service.session import Session
 
         registry = SessionRegistry(
             max_sessions=4,
-            resolver=lambda name: Session(
-                name, PhaseTracker(), 0.0, restored=True
+            resolver=lambda name, land: Session(
+                name, land(FRESH_SNAPSHOT), 0.0, restored=True
             ),
         )
         closed = registry.close("phoenix")
         assert closed.name == "phoenix"
+        assert closed.tracker.intervals_observed == 0
         assert registry.stats()["closed"] == 1
+        # Closing a cold session decodes its snapshot; it claims no slot.
+        assert registry.pool.active_slots == 0
 
     def test_reserved_names_are_refused_and_skipped(self):
         registry = SessionRegistry(

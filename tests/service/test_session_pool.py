@@ -1,11 +1,14 @@
 """The registry's own tracker pool: default-config sessions land on
-its slots however they arrive (open, snapshot open, hydrate, adopt),
-foreign configs stay scalar, and closing or evicting releases slots."""
+its slots however they arrive (open, snapshot open, hydrate), foreign
+configs stay scalar, and closing or evicting releases slots."""
 
 from dataclasses import asdict
 
+import pytest
+
 from repro.core import ClassifierConfig, PhaseTracker
 from repro.core.pool import PooledTracker
+from repro.errors import ConfigurationError, SnapshotError
 from repro.service.session import Session, SessionRegistry
 from repro.service.snapshot import snapshot_tracker
 
@@ -82,14 +85,25 @@ def test_snapshot_restore_foreign_config_falls_back():
     assert registry.pool.active_slots == 0
 
 
-def test_adopt_rehomes_default_config_scalar_onto_pool():
-    registry = SessionRegistry()
-    scalar = driven_scalar()
-    expected = snapshot_tracker(scalar)
-    session = registry.adopt(Session("r", scalar, 0.0, restored=True))
-    assert isinstance(session.tracker, PooledTracker)
-    assert registry.pool_slot(session) is not None
-    assert snapshot_tracker(session.tracker) == expected
+def test_rejected_snapshot_open_evicts_nothing():
+    """A snapshot is decoded before admission: on a full table a bad
+    document — whether its envelope, a field or a predictor table is
+    broken — is refused without evicting anyone or claiming a slot."""
+    registry = SessionRegistry(max_sessions=2)
+    for name in ("a", "b"):
+        registry.open(name).tracker.observe_batch([0x400, 0x404], [40, 60])
+    good = snapshot_tracker(driven_scalar())
+    bad_tables = {**good, "tracker": {**good["tracker"], "next_phase": {}}}
+    for bad in (
+        {"schema_version": 1, "tracker": "bogus"},
+        {**good, "tracker": {**good["tracker"], "instructions": -1}},
+        bad_tables,
+    ):
+        with pytest.raises(SnapshotError):
+            registry.open("c", snapshot=bad)
+    assert registry.names() == ["a", "b"]
+    assert registry.stats()["evicted"] == 0
+    assert registry.pool.active_slots == 2
 
 
 def test_adopt_keeps_foreign_config_scalar():
@@ -107,18 +121,32 @@ def test_adopt_keeps_foreign_config_scalar():
     assert registry.pool.active_slots == 0
 
 
-def test_hydrate_lands_on_a_slot_freed_by_its_own_admission():
-    """The resolver hands back a scalar tracker; the registry moves it
-    onto the pool after admission evicted the LRU session, so a full
-    table reuses that slot instead of growing the pool."""
-    cold = {"cold": driven_scalar()}
-    expected = snapshot_tracker(cold["cold"])
+def test_rejected_config_open_evicts_nothing():
+    """Config overrides are built before admission too; a float where
+    an integer belongs is refused (a snapshot of such a session would
+    not restore) without evicting anyone."""
+    registry = SessionRegistry(max_sessions=1)
+    registry.open("a")
+    with pytest.raises(ConfigurationError):
+        registry.open("b", config={"table_entries": 32.5})
+    assert registry.names() == ["a"]
+    assert registry.stats()["evicted"] == 0
 
-    def resolver(name):
-        tracker = cold.pop(name, None)
-        if tracker is None:
+
+def test_hydrate_lands_on_a_slot_freed_by_its_own_admission():
+    """The resolver hands the registry a snapshot; the registry lands
+    it on the pool after admission evicted the LRU session, so a full
+    table reuses that slot instead of growing the pool."""
+    cold = {"cold": snapshot_tracker(driven_scalar())}
+    expected = cold["cold"]
+
+    def resolver(name, land):
+        document = cold.get(name)
+        if document is None:
             return None
-        return Session(name, tracker, 0.0, restored=True)
+        session = Session(name, land(document), 0.0, restored=True)
+        del cold[name]
+        return session
 
     registry = SessionRegistry(max_sessions=2, resolver=resolver)
     registry.open("a")

@@ -139,3 +139,99 @@ class TestFailureModes:
             loads("{broken")
         with pytest.raises(SnapshotError):
             loads("[1,2]")
+
+
+def _tracker_state(document):
+    return document["tracker"]
+
+
+HOSTILE_EDITS = {
+    "interval_instructions missing":
+        lambda state: state.pop("interval_instructions"),
+    "interval_instructions not an int":
+        lambda state: state.update(interval_instructions="abc"),
+    "interval_instructions zero":
+        lambda state: state.update(interval_instructions=0),
+    "change_predictor a string":
+        lambda state: state.update(change_predictor="rle"),
+    "change_predictor kind unhashable":
+        lambda state: state["change_predictor"].update(kind=["rle"]),
+    "previous_phase negative":
+        lambda state: state.update(previous_phase=-3),
+    "counter beyond int64":
+        lambda state: state["classifier"]["accumulator"]["counters"]
+        .__setitem__(0, 2**64),
+    "next_phase tables not an object":
+        lambda state: state.update(next_phase="bogus"),
+    "config field a float":
+        lambda state: state["classifier"]["config"].update(
+            table_entries=32.0
+        ),
+}
+
+
+class TestHostileSnapshots:
+    """Every malformed document is a typed :class:`SnapshotError` on
+    the scalar oracle and on the registry's pool path alike, and a
+    rejected pool landing claims no slot."""
+
+    def driven_document(self):
+        tracker = PhaseTracker(interval_instructions=1_000)
+        pcs, counts = two_region_stream(seed=3, n=600)
+        drive(tracker, pcs, counts)
+        return snapshot_tracker(tracker)
+
+    @pytest.mark.parametrize("edit", sorted(HOSTILE_EDITS))
+    def test_typed_error_on_both_paths(self, edit):
+        from repro.service.session import SessionRegistry
+
+        document = self.driven_document()
+        HOSTILE_EDITS[edit](_tracker_state(document))
+        with pytest.raises(SnapshotError):
+            restore_tracker(document)
+        registry = SessionRegistry(max_sessions=2)
+        with pytest.raises(SnapshotError):
+            registry.open("a", snapshot=document)
+        assert registry.pool.active_slots == 0
+        assert len(registry) == 0
+
+    def test_try_adopt_releases_its_slot_on_malformed_state(self):
+        from repro.core import TrackerPool
+
+        pool = TrackerPool(
+            capacity=2, config=ClassifierConfig.paper_default()
+        )
+        state = _tracker_state(self.driven_document())
+        state["length_predictor"] = {"table": "bogus"}
+        with pytest.raises(SnapshotError):
+            pool.try_adopt(state)
+        assert pool.active_slots == 0
+
+    def test_try_adopt_soft_refuses_an_unreadable_config(self):
+        """An unparseable configuration is not the pool's: ``None``, so
+        the caller falls back — and the decoder then rejects it."""
+        from repro.core import TrackerPool
+
+        document = self.driven_document()
+        _tracker_state(document)["classifier"]["config"] = {"bogus": 1}
+        pool = TrackerPool(
+            capacity=2, config=ClassifierConfig.paper_default()
+        )
+        assert pool.try_adopt(_tracker_state(document)) is None
+        assert pool.active_slots == 0
+        with pytest.raises(SnapshotError, match="configuration"):
+            restore_tracker(document)
+
+    def test_wire_answers_hostile_snapshots_with_the_snapshot_code(self):
+        """Over NDJSON a malformed restore is a typed ``snapshot`` error
+        (the client raises :class:`SnapshotError`), never ``internal``,
+        and the connection keeps serving."""
+        from repro.service import PhaseServiceClient, start_in_thread
+
+        document = self.driven_document()
+        del _tracker_state(document)["interval_instructions"]
+        with start_in_thread(max_sessions=2) as handle:
+            with PhaseServiceClient(port=handle.port) as client:
+                with pytest.raises(SnapshotError):
+                    client.open_session("a", snapshot=document)
+                assert client.open_session("b") == "b"
