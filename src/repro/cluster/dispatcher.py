@@ -56,7 +56,7 @@ import itertools
 import re
 import time
 from typing import (
-    Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.errors import ClusterError, ConfigurationError, ReproError
@@ -849,32 +849,15 @@ class ClusterDispatcher(FrontEnd):
         sum_keys = (
             "live", "opened", "closed", "evicted", "expired",
             "evicted_saved", "evicted_lost", "evicted_recycled",
-            "hydrated", "adopted", "requests", "errors", "connections",
+            "hydrated", "requests", "errors", "connections",
         )
         for key in sum_keys:
             totals[key] = sum(
                 stats.get(key, 0) or 0 for stats in per_worker.values()
             )
-        prediction = {
-            key: sum(
-                (stats.get("predictions") or {}).get(key, 0) or 0
-                for stats in per_worker.values()
-            )
-            for key in (
-                "scored", "correct", "confident_scored",
-                "confident_correct",
-            )
-        }
-        scored = prediction["scored"]
-        confident = prediction["confident_scored"]
-        prediction["accuracy"] = (
-            prediction["correct"] / scored if scored else None
+        totals["predictions"] = _summed_scoreboard(
+            stats.get("predictions") for stats in per_worker.values()
         )
-        prediction["confident_accuracy"] = (
-            prediction["confident_correct"] / confident
-            if confident else None
-        )
-        totals["predictions"] = prediction
         totals["uptime_seconds"] = self.touch_uptime()
         totals["cluster"] = {
             "workers": len(self.shard_map),
@@ -897,10 +880,6 @@ class ClusterDispatcher(FrontEnd):
         )
         occupancy: Dict[str, int] = {}
         registry: Dict[str, object] = {}
-        prediction = {
-            "scored": 0, "correct": 0,
-            "confident_scored": 0, "confident_correct": 0,
-        }
         pool_capacity = pool_active = 0
         queue_depth = self.ingest_queue_depth()
         requests = errors = 0
@@ -910,26 +889,12 @@ class ClusterDispatcher(FrontEnd):
             for key, value in (diag.get("registry") or {}).items():
                 if isinstance(value, (int, float)):
                     registry[key] = (registry.get(key, 0) or 0) + value
-            for key in prediction:
-                prediction[key] += (
-                    (diag.get("prediction") or {}).get(key, 0) or 0
-                )
             pool = diag.get("pool") or {}
             pool_capacity += pool.get("capacity", 0) or 0
             pool_active += pool.get("active_slots", 0) or 0
             queue_depth += diag.get("ingest_queue_depth", 0) or 0
             requests += diag.get("requests", 0) or 0
             errors += diag.get("errors", 0) or 0
-        scored = prediction["scored"]
-        confident = prediction["confident_scored"]
-        prediction_out = dict(prediction)
-        prediction_out["accuracy"] = (
-            prediction["correct"] / scored if scored else None
-        )
-        prediction_out["confident_accuracy"] = (
-            prediction["confident_correct"] / confident
-            if confident else None
-        )
         status = self.cluster_status()
         status["per_worker"] = {
             worker_id: {
@@ -949,7 +914,9 @@ class ClusterDispatcher(FrontEnd):
             "connections_refused": self.connections_refused,
             "ingest_queue_depth": queue_depth,
             "phase_occupancy": occupancy,
-            "prediction": prediction_out,
+            "prediction": _summed_scoreboard(
+                diag.get("prediction") for diag in per_worker.values()
+            ),
             "registry": registry,
             "pool": {
                 "capacity": pool_capacity,
@@ -965,6 +932,16 @@ class ClusterDispatcher(FrontEnd):
     def _emit(self, event: str, **fields: object) -> None:
         if self._telemetry is not None:
             self._telemetry.emit(event, **fields)
+
+
+def _summed_scoreboard(boards: Iterable[Optional[dict]]) -> dict:
+    """One predictor scoreboard from the workers' (missing ones count
+    as zero)."""
+    totals = dict.fromkeys(protocol.PREDICTION_COUNTS, 0)
+    for board in boards:
+        for key in totals:
+            totals[key] += (board or {}).get(key, 0) or 0
+    return protocol.prediction_scoreboard(**totals)
 
 
 # -- thread hosting ------------------------------------------------------------

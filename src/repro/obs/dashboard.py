@@ -428,8 +428,8 @@ function startEvents() {
       eventCount + " received via /v1/events (SSE)";
   };
   ["interval", "session_opened", "session_closed", "session_evicted",
-   "session_expired", "session_hydrated", "session_adopted",
-   "service_start", "service_stop", "checkpoint_sweep_failed",
+   "session_expired", "session_hydrated", "service_start",
+   "service_stop", "checkpoint_sweep_failed",
    "cluster_start", "cluster_stop", "cluster_worker_started",
    "cluster_worker_ready", "cluster_worker_exited",
    "cluster_worker_restarted", "cluster_worker_drained",

@@ -11,14 +11,15 @@ This package makes phase history durable:
   tolerant replay);
 - :mod:`repro.persistence.checkpoints` — atomic per-session snapshot
   checkpoints (tmp + rename publication, CRC-verified loads);
-- :mod:`repro.persistence.recovery` — ``kill -9`` recovery: checkpoints
-  fast-forward, the journal tail replays through the tracker's own
-  vectorized ingest, damage is counted instead of raised;
 - :mod:`repro.persistence.compaction` — drop journal segments every
   checkpoint has superseded;
 - :mod:`repro.persistence.manager` — :class:`PersistenceManager`, the
   facade the service tier wires in: evict-to-disk, hydrate-on-demand,
-  write-ahead logging, periodic checkpoints.
+  write-ahead logging, periodic checkpoints, and ``kill -9`` recovery
+  (:meth:`~PersistenceManager.install_into`: checkpointed sessions
+  start cold, the journal tail replays through the registry's own
+  open / get / close, damage is counted in a :class:`RecoveryResult`
+  instead of raised).
 
 Enable it on a server with ``repro-phases serve --data-dir PATH``
 (plus ``--sync`` and ``--checkpoint-interval``), or in code via
@@ -38,12 +39,7 @@ from repro.persistence.journal import (
     list_segments,
     replay_journal,
 )
-from repro.persistence.manager import PersistenceManager
-from repro.persistence.recovery import (
-    RecoveredSession,
-    RecoveryResult,
-    recover_state,
-)
+from repro.persistence.manager import PersistenceManager, RecoveryResult
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -51,12 +47,10 @@ __all__ = [
     "Journal",
     "JournalReplay",
     "PersistenceManager",
-    "RecoveredSession",
     "RecoveryResult",
     "ReplayStats",
     "SYNC_MODES",
     "compact_journal",
     "list_segments",
-    "recover_state",
     "replay_journal",
 ]

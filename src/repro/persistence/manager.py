@@ -1,8 +1,8 @@
 """The durable session tier behind one handle.
 
 :class:`PersistenceManager` composes the journal, the checkpoint
-store, recovery, and compaction into the three hooks the session
-registry exposes, plus the logging calls the server makes:
+store, and compaction into the three hooks the session registry
+exposes, plus the logging calls the server makes:
 
 - **write path** — the server calls :meth:`log_open` /
   :meth:`log_observe` / :meth:`log_close` after each successful
@@ -18,10 +18,11 @@ registry exposes, plus the logging calls the server makes:
   suite enforces). No journal scan is needed: a cold session's
   checkpoint is current by construction, because eviction wrote it
   after the session's last observe.
-- **crash recovery** — :meth:`install_into` replays the data directory
-  onto the registry (:func:`~repro.persistence.recovery.recover_state`)
-  and re-registers the reconstructed sessions, letting the registry's
-  own eviction policy push overflow back to disk.
+- **crash recovery** — :meth:`install_into` registers every
+  checkpointed session cold, wires the hooks, and replays the journal
+  tail through the registry's own ``open`` / ``get`` / ``close``: no
+  session is built outside the registry, so admission, eviction to
+  disk and hydration treat recovered sessions as they treat live ones.
 - **checkpoint + compact** — :meth:`checkpoint_all` snapshots dirty
   sessions (the server runs it on a timer and at shutdown), after
   which :meth:`compact` drops journal segments nobody needs.
@@ -36,20 +37,50 @@ The layout under ``data_dir``::
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from functools import partial
 from typing import Callable, Dict, Iterable, Optional, TYPE_CHECKING, Union
 
-from repro.errors import PersistenceError, SnapshotError
+from repro.errors import (
+    PersistenceError,
+    ReproError,
+    ServiceOverloadedError,
+    SessionNotFoundError,
+    SnapshotError,
+)
 from repro.persistence.checkpoints import CheckpointStore
 from repro.persistence.compaction import compact_journal
-from repro.persistence.journal import Journal
-from repro.persistence.recovery import RecoveryResult, recover_state
+from repro.persistence.journal import Journal, ReplayStats, replay_journal
 from repro.service.session import Session, SessionRegistry
 from repro.service.snapshot import snapshot_tracker
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from repro.telemetry import Telemetry
+
+#: What applying a journaled record may raise when the record (or the
+#: state it lands on) is damaged: counted, never propagated.
+_UNAPPLIABLE = (ReproError, KeyError, TypeError, ValueError)
+
+
+@dataclass
+class RecoveryResult:
+    """What :meth:`PersistenceManager.install_into` replayed and counted."""
+
+    #: Sessions live in the registry when recovery ended.
+    live_sessions: int = 0
+    #: Sessions cold on disk when recovery ended: name -> covered seq.
+    cold: Dict[str, int] = field(default_factory=dict)
+    next_seq: int = 1
+    replayed_records: int = 0
+    #: Records a checkpoint already covers.
+    skipped_records: int = 0
+    #: Records naming a session recovery knows nothing about.
+    orphaned_records: int = 0
+    #: Sessions dropped (back to their last checkpoint, when they have
+    #: one) because a record or their checkpoint would not apply.
+    damaged_sessions: int = 0
+    journal: ReplayStats = field(default_factory=ReplayStats)
 
 
 class PersistenceManager:
@@ -57,9 +88,9 @@ class PersistenceManager:
 
     Installing the manager (:meth:`install_into`) *is* recovery: the
     journal is replayed (torn tail truncated, a counted non-fatal
-    event) and every session the directory knows is reconstructed —
-    materialized onto the registry's trackers when it had a replay
-    tail, left cold when its checkpoint is current. The journal opens
+    event) through the registry, so every session the directory knows
+    comes back — live when it had a replay tail (and the cap left it
+    room), cold when its checkpoint is current. The journal opens
     there, so install the manager before logging through it.
 
     Parameters
@@ -136,47 +167,197 @@ class PersistenceManager:
     # -- registry wiring ------------------------------------------------------
 
     def install_into(self, registry: SessionRegistry) -> int:
-        """Recover the data directory onto ``registry`` (default-config
-        sessions on its pool's slots), open the journal, wire the
-        registry's persistence hooks and re-install the recovered
-        sessions; returns how many went live.
+        """Recover the data directory onto ``registry`` and wire its
+        persistence hooks; returns how many sessions are live when
+        recovery ends.
 
-        Installation is oldest-activity-first, so when the recovered
-        population exceeds the registry cap, the registry's own LRU
-        eviction (now persistence-backed) pushes the stalest ones
-        straight back to disk as cold sessions.
+        Every checkpointed session starts cold. Each journal record a
+        checkpoint does not cover is then applied with the calls the
+        live server made for it — ``open``, ``get`` plus
+        ``observe_batch``, ``close`` — so a tail that starts after a
+        checkpoint hydrates through :meth:`resolve`, and the registry's
+        own admission evicts the stalest sessions back to disk: the
+        pool never outgrows ``max_sessions``. Damage (a record or a
+        checkpoint that will not apply) is counted in
+        :attr:`recovery`, never raised. With LRU eviction disabled, a
+        tail needing more live sessions than the cap raises
+        :class:`~repro.errors.ServiceOverloadedError`, as an ``open``
+        would.
         """
-        self.recovery = recover_state(
-            self.journal_root, self.checkpoints, registry, self._telemetry
+        result = self.recovery = RecoveryResult()
+        self._cold = {
+            name: int(document["seq"])
+            for name, document in self.checkpoints.load_all().items()
+        }
+        replay = replay_journal(
+            self.journal_root, truncate=True, telemetry=self._telemetry
         )
-        self.journal = self._open_journal(next_seq=self.recovery.next_seq)
-        for name in self.recovery.closed:
-            self.checkpoints.delete(name)
-        self._cold = dict(self.recovery.cold)
-        self._set_cold_gauge()
+        result.journal = replay.stats
+        # A crash can leave a durable checkpoint covering seqs the
+        # on-disk journal never kept (sync=none, or a tail lost to the
+        # machine). Never hand those seqs out again: a restarted
+        # journal reusing them would have its records skipped as
+        # "covered" on the *next* recovery, silently dropping
+        # acknowledged observes.
+        result.next_seq = max(
+            replay.stats.next_seq, max(self._cold.values(), default=0) + 1
+        )
+        self.journal = self._open_journal(next_seq=result.next_seq)
         registry.on_evict = self.save_session
         registry.resolver = self.resolve
         registry.name_reserved = self.contains_cold
-        installed = 0
-        recovered = sorted(
-            self.recovery.live.values(), key=lambda entry: entry.last_seq
-        )
-        for entry in recovered:
-            session = Session(
-                entry.name, entry.tracker, self._clock(), restored=True
+        for record in replay.records:
+            self._replay(registry, record, result)
+        self._set_cold_gauge()
+        result.live_sessions = len(registry)
+        result.cold = dict(self._cold)
+        if self._telemetry is not None:
+            self._telemetry.emit(
+                "recovery_complete",
+                live=result.live_sessions,
+                cold=len(result.cold),
+                replayed=result.replayed_records,
+                skipped=result.skipped_records,
+                orphaned=result.orphaned_records,
+                damaged=result.damaged_sessions,
+                torn_tails=result.journal.torn_tails,
+                next_seq=result.next_seq,
             )
-            session.intervals_pushed = entry.intervals_pushed
-            session.branches_ingested = entry.branches_ingested
-            self._session_seqs[entry.name] = entry.last_seq
-            if entry.checkpoint_seq is not None:
-                self._checkpoint_seqs[entry.name] = entry.checkpoint_seq
-            if entry.first_seq is not None:
-                self._first_seqs[entry.name] = entry.first_seq
-            registry.adopt(session)
-            installed += 1
-        return installed
+            self._telemetry.metrics.counter(
+                "repro_persistence_replayed_records_total",
+                "Journal records applied during crash recovery",
+            ).inc(result.replayed_records)
+            self._telemetry.metrics.counter(
+                "repro_persistence_recoveries_total",
+                "Recovery passes completed",
+            ).inc()
+        return result.live_sessions
+
+    def _replay(
+        self, registry: SessionRegistry, record: dict,
+        result: RecoveryResult,
+    ) -> None:
+        """Apply one journal record the way the live server applied it."""
+        kind = record.get("kind")
+        name = record.get("session")
+        seq = record["seq"]
+        if not isinstance(name, str) or kind not in (
+            "open", "observe", "close"
+        ):
+            result.orphaned_records += 1
+            return
+        covered = self._cold.get(name, self._checkpoint_seqs.get(name))
+        if covered is not None and seq <= covered:
+            # The checkpoint holds this record's effect. For a close,
+            # the checkpoint was stamped after it: it belongs to a
+            # newer incarnation of the name and must survive.
+            result.skipped_records += 1
+            return
+
+        if kind == "open":
+            # An open starts a new incarnation of the name: a stale
+            # checkpoint still registered under it (its close record
+            # compacted away after the delete failed) is superseded.
+            self._drop(registry, name)
+            try:
+                if record.get("snapshot_ref") == "checkpoint":
+                    # The restore snapshot was too large to travel
+                    # inline and was published as a checkpoint
+                    # covering this record. Reaching here means that
+                    # checkpoint is gone — a fresh tracker would
+                    # silently impersonate the restored one.
+                    raise PersistenceError(
+                        "open record references a checkpointed "
+                        "snapshot that no longer exists"
+                    )
+                registry.open(
+                    name,
+                    config=record.get("config"),
+                    interval_instructions=record.get(
+                        "interval_instructions"
+                    ),
+                    snapshot=record.get("snapshot"),
+                )
+            except ServiceOverloadedError:
+                raise
+            except _UNAPPLIABLE:
+                result.damaged_sessions += 1
+                return
+        elif kind == "observe":
+            cold = name in self._cold
+            try:
+                session = registry.get(name)
+            except SessionNotFoundError:
+                if cold:  # its checkpoint would not hydrate
+                    self._demote(registry, name, result)
+                else:
+                    # Its open record was compacted away and no
+                    # checkpoint survived: nothing to replay onto.
+                    result.orphaned_records += 1
+                return
+            try:
+                reports = session.tracker.observe_batch(
+                    record["pcs"], record["counts"],
+                    cpi=record.get("cpi", 1.0),
+                )
+            except _UNAPPLIABLE:
+                # Never serve half-replayed state.
+                self._demote(registry, name, result)
+                if self._telemetry is not None:
+                    self._telemetry.emit(
+                        "recovery_record_unappliable",
+                        session=name, record_seq=seq,
+                    )
+                return
+            session.intervals_pushed += len(reports)
+            session.branches_ingested += len(record["pcs"])
+        else:
+            try:
+                registry.close(name)
+            except SessionNotFoundError:
+                pass  # its checkpoint is cleaned up all the same
+        self._track(kind, name, seq)
+        result.replayed_records += 1
+
+    def _drop(self, registry: SessionRegistry, name: str) -> Optional[int]:
+        """Drop ``name`` from the registry and the seq books without
+        saving it; returns the seq of the checkpoint it had, if any."""
+        if name in registry:
+            registry.close(name)
+        checkpoint = self._untrack(name)
+        return self._cold.pop(name, checkpoint)
+
+    def _demote(
+        self, registry: SessionRegistry, name: str, result: RecoveryResult
+    ) -> None:
+        """A damaged session falls back to its last good checkpoint
+        (cold), or is dropped when it has none."""
+        result.damaged_sessions += 1
+        checkpoint = self._drop(registry, name)
+        if checkpoint is not None:
+            self._cold[name] = checkpoint
 
     # -- write-ahead logging --------------------------------------------------
+
+    def _track(self, kind: str, name: str, seq: int) -> None:
+        """Per-session seq bookkeeping for one journaled record, shared
+        by the write path and recovery's replay of the same record."""
+        if kind == "close":
+            self._untrack(name)
+            if self._cold.pop(name, None) is not None:
+                self._set_cold_gauge()
+            self.checkpoints.delete(name)
+            return
+        self._session_seqs[name] = seq
+        if kind == "open":
+            self._first_seqs[name] = seq
+            self._checkpoint_seqs.pop(name, None)
+
+    def _untrack(self, name: str) -> Optional[int]:
+        """Forget a session's live seqs; returns its checkpoint seq."""
+        self._session_seqs.pop(name, None)
+        self._first_seqs.pop(name, None)
+        return self._checkpoint_seqs.pop(name, None)
 
     def log_open(
         self,
@@ -211,13 +392,10 @@ class PersistenceManager:
                 "snapshot": snapshot,
                 "meta": {"interval_instructions": interval_instructions},
             })
-            self._session_seqs[name] = seq
-            self._first_seqs[name] = seq
+            self._track("open", name, seq)
             self._checkpoint_seqs[name] = seq
             return seq
-        self._session_seqs[name] = seq
-        self._first_seqs[name] = seq
-        self._checkpoint_seqs.pop(name, None)
+        self._track("open", name, seq)
         return seq
 
     def log_observe(
@@ -236,18 +414,13 @@ class PersistenceManager:
             "counts": counts,
             "cpi": float(cpi),
         })
-        self._session_seqs[name] = seq
+        self._track("observe", name, seq)
         return seq
 
     def log_close(self, name: str) -> int:
         """Journal a ``close`` and delete the session's durable state."""
         seq = self.journal.append({"kind": "close", "session": name})
-        self._session_seqs.pop(name, None)
-        self._checkpoint_seqs.pop(name, None)
-        self._first_seqs.pop(name, None)
-        if self._cold.pop(name, None) is not None:
-            self._set_cold_gauge()
-        self.checkpoints.delete(name)
+        self._track("close", name, seq)
         return seq
 
     # -- evict-to-disk / hydrate-on-demand ------------------------------------
@@ -256,9 +429,7 @@ class PersistenceManager:
         """The registry's ``on_evict`` pre-drop hook: checkpoint the
         session and register it cold instead of losing its state."""
         seq = self.checkpoint_session(session)
-        self._session_seqs.pop(session.name, None)
-        self._checkpoint_seqs.pop(session.name, None)
-        self._first_seqs.pop(session.name, None)
+        self._untrack(session.name)
         self._cold[session.name] = seq
         self._set_cold_gauge()
         self.evict_saves += 1
@@ -423,7 +594,7 @@ class PersistenceManager:
             "hydrated": self.hydrated,
             "hydrate_failures": self.hydrate_failures,
             "evict_saves": self.evict_saves,
-            "recovered_live": len(self.recovery.live),
+            "recovered_live": self.recovery.live_sessions,
             "recovered_cold": len(self.recovery.cold),
             "replayed_records": self.recovery.replayed_records,
             "torn_tails": self.recovery.journal.torn_tails,

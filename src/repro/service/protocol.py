@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 from repro.errors import (
     ClusterError,
+    ConfigurationError,
     ProtocolError,
     ServiceError,
     ServiceOverloadedError,
@@ -74,11 +75,14 @@ ERROR_CODE_EXCEPTIONS: Dict[str, Type[ServiceError]] = {
     "internal": ServiceError,
 }
 
-_EXCEPTION_ERROR_CODES: Dict[Type[ServiceError], str] = {
+_EXCEPTION_ERROR_CODES: Dict[Type[Exception], str] = {
     exception: code
     for code, exception in ERROR_CODE_EXCEPTIONS.items()
     if exception is not ServiceError
 }
+# A bad ``open`` config override is the request's fault, not the
+# server's: it is refused like any other malformed request.
+_EXCEPTION_ERROR_CODES[ConfigurationError] = "protocol"
 
 
 def error_code_for(error: Exception) -> str:
@@ -279,6 +283,31 @@ def error_response(request_id: int, code: str, message: str) -> dict:
 
 def interval_push(session: str, report: dict) -> dict:
     return {"push": "interval", "session": session, "report": report}
+
+
+#: The counts a next-phase predictor scoreboard is built from.
+PREDICTION_COUNTS = (
+    "scored", "correct", "confident_scored", "confident_correct",
+)
+
+
+def prediction_scoreboard(
+    scored: int, correct: int, confident_scored: int, confident_correct: int
+) -> dict:
+    """The ``predictions`` block of ``stats`` (``prediction`` in
+    diagnostics): the :data:`PREDICTION_COUNTS` plus both accuracies,
+    ``None`` until something was scored."""
+    return {
+        "scored": scored,
+        "correct": correct,
+        "accuracy": correct / scored if scored else None,
+        "confident_scored": confident_scored,
+        "confident_correct": confident_correct,
+        "confident_accuracy": (
+            confident_correct / confident_scored
+            if confident_scored else None
+        ),
+    }
 
 
 def request_payload(request: Request) -> dict:

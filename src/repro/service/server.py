@@ -720,20 +720,10 @@ class PhaseService(FrontEnd):
 
     def prediction_accuracy(self) -> Dict[str, object]:
         """Service-level next-phase predictor scoreboard."""
-        scored = self.predictions_scored
-        confident = self.confident_scored
-        return {
-            "scored": scored,
-            "correct": self.predictions_correct,
-            "accuracy": (
-                self.predictions_correct / scored if scored else None
-            ),
-            "confident_scored": confident,
-            "confident_correct": self.confident_correct,
-            "confident_accuracy": (
-                self.confident_correct / confident if confident else None
-            ),
-        }
+        return protocol.prediction_scoreboard(
+            self.predictions_scored, self.predictions_correct,
+            self.confident_scored, self.confident_correct,
+        )
 
     def diagnostics(self) -> Dict[str, object]:
         """The operational state the dashboard renders: per-phase

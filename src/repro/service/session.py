@@ -15,10 +15,11 @@ sessions with three protection mechanisms a long-lived service needs:
 - **one tracker home** — the registry owns a
   :class:`~repro.core.pool.TrackerPool` for the default configuration,
   sized ``max_sessions`` and growing on demand. Default-config sessions
-  live on its slots however they arrive (open, snapshot open, hydrate,
-  crash recovery); only foreign configurations get scalar trackers.
-  Snapshots are decoded before admission and land directly on a slot.
-  Closed and evicted sessions release their slot for reuse.
+  live on its slots however they arrive (open, snapshot open, hydrate;
+  crash recovery replays the journal through these same calls); only
+  foreign configurations get scalar trackers. Snapshots are decoded
+  before admission and land directly on a slot. Closed and evicted
+  sessions release their slot for reuse.
 
 Reclamation is observable and interceptable: before the LRU cap or the
 idle TTL destroys a session, the optional ``on_evict`` pre-drop hook
@@ -51,7 +52,7 @@ from repro.errors import (
     SessionExistsError,
     SessionNotFoundError,
 )
-from repro.service.snapshot import DecodedSnapshot, decode
+from repro.service.snapshot import decode
 from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
@@ -92,12 +93,7 @@ class Session:
 
 
 def build_config(overrides: Optional[dict]) -> ClassifierConfig:
-    """A ClassifierConfig from wire-supplied field overrides.
-
-    Shared with the persistence tier's journal replay, so a recovered
-    session is configured exactly as its ``open`` request configured
-    the original.
-    """
+    """A ClassifierConfig from wire-supplied field overrides."""
     if not overrides:
         return ClassifierConfig.paper_default()
     try:
@@ -124,7 +120,7 @@ class SessionRegistry:
     telemetry:
         Optional hub: a live-sessions gauge plus one event per session
         lifecycle transition (opened / closed / evicted / expired /
-        hydrated / adopted).
+        hydrated).
     clock:
         Monotonic time source (overridable in tests).
     on_evict:
@@ -199,7 +195,6 @@ class SessionRegistry:
         self.sessions_evicted_lost = 0
         self.sessions_evicted_recycled = 0
         self.sessions_hydrated = 0
-        self.sessions_adopted = 0
         self._telemetry = telemetry
         if telemetry is not None:
             self._g_sessions = telemetry.gauge(
@@ -260,11 +255,19 @@ class SessionRegistry:
             tracker = self._admit_snapshot(snapshot)
         else:
             classifier_config = build_config(config)
-            self._make_room()
-            tracker = self.checkout(
-                classifier_config,
-                interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS,
+            interval_instructions = (
+                interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS
             )
+            self._make_room()
+            if self.pool.compatible(classifier_config):
+                tracker = self.pool.acquire(
+                    interval_instructions=interval_instructions
+                )
+            else:
+                tracker = PhaseTracker(
+                    classifier_config,
+                    interval_instructions=interval_instructions,
+                )
         session = Session(
             name, tracker, self.clock(), restored=snapshot is not None
         )
@@ -292,24 +295,6 @@ class SessionRegistry:
             )
         session.last_active = self.clock()
         self._sessions.move_to_end(name)
-        return session
-
-    def adopt(self, session: Session) -> Session:
-        """Install an externally constructed session (crash recovery).
-
-        Takes the normal admission path — idle sweep, then LRU
-        eviction or :class:`ServiceOverloadedError` when full — but
-        counts separately from :meth:`open`, since nothing new was
-        created.
-        """
-        if session.name in self._sessions:
-            raise SessionExistsError(
-                f"session {session.name!r} is already open"
-            )
-        self._make_room()
-        self._sessions[session.name] = session
-        self.sessions_adopted += 1
-        self._emit("session_adopted", session)
         return session
 
     def close(self, name: str) -> Session:
@@ -432,31 +417,14 @@ class SessionRegistry:
 
     def _admit_snapshot(self, document: dict):
         """Decode (a rejected document evicts nothing), make room, then
-        :meth:`land` — on the slot an eviction just freed."""
+        restore: onto a slot of :attr:`pool` — the one an eviction just
+        freed — when the configuration is the pool's, else onto a
+        scalar tracker."""
         decoded = decode(document)
         self._make_room()
-        return self.land(decoded)
-
-    def land(self, decoded: DecodedSnapshot):
-        """The tracker a decoded snapshot restores onto: a slot of
-        :attr:`pool` when its configuration is the pool's, else a
-        scalar tracker. Claims a slot, so admit the session first."""
         if self.pool.compatible(decoded.config):
             return self.pool.try_adopt(decoded.state, decoded.predictors)
         return decoded.scalar_tracker()
-
-    def checkout(
-        self, config: ClassifierConfig, interval_instructions: int
-    ) -> PhaseTracker:
-        """A fresh tracker: a slot of :attr:`pool` for the pool's
-        configuration, else a scalar tracker."""
-        if self.pool.compatible(config):
-            return self.pool.acquire(
-                interval_instructions=interval_instructions
-            )
-        return PhaseTracker(
-            config, interval_instructions=interval_instructions
-        )
 
     @staticmethod
     def _release(session: Session) -> None:
@@ -496,5 +464,4 @@ class SessionRegistry:
             "evicted_lost": self.sessions_evicted_lost,
             "evicted_recycled": self.sessions_evicted_recycled,
             "hydrated": self.sessions_hydrated,
-            "adopted": self.sessions_adopted,
         }

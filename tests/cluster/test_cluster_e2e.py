@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import start_cluster_in_thread
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ProtocolError
 from repro.service import PhaseServiceClient, start_in_thread
 
 INTERVAL_INSTRUCTIONS = 20_000
@@ -253,6 +253,19 @@ class TestDrainWorker:
                 # The last worker is not drainable.
                 with pytest.raises(ClusterError):
                     client.cluster("drain-worker", worker=survivor)
+
+    def test_bad_open_config_answers_protocol(self, tmp_path):
+        """A worker's refusal of a bad config override crosses the
+        dispatcher hop as ``protocol``, not ``internal``."""
+        with start_cluster_in_thread(
+            port=0, workers=1, runtime_dir=str(tmp_path / "rt"),
+        ) as cluster:
+            with PhaseServiceClient(
+                port=cluster.port, timeout=60.0
+            ) as client:
+                with pytest.raises(ProtocolError):
+                    client.open_session("bad", config={"num_counters": 3})
+                assert client.open_session("bad") == "bad"
 
     def test_single_service_refuses_cluster_actions(self):
         with start_in_thread(max_sessions=4) as handle:

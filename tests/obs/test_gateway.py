@@ -181,6 +181,15 @@ class TestSessionRoutes:
         status, _ = call(base, "POST", "/v1/sessions", {"session": "dup"})
         assert status == 409
 
+    def test_bad_open_config_is_400(self, base):
+        for config in ({"num_counters": 3}, {"bogus": 1}):
+            status, body = call(
+                base, "POST", "/v1/sessions",
+                {"session": "bad", "config": config},
+            )
+            assert status == 400
+            assert body["error"]["message"]
+
     def test_body_validation_is_400(self, base):
         call(base, "POST", "/v1/sessions", {"session": "v"})
         for bad in (

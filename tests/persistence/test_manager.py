@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import PhaseTracker
-from repro.errors import SessionExistsError, SessionNotFoundError
+from repro.errors import (
+    ServiceOverloadedError,
+    SessionExistsError,
+    SessionNotFoundError,
+)
 from repro.persistence import PersistenceManager, list_segments
 from repro.service.session import SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
@@ -204,10 +208,10 @@ class TestCrashRecovery:
         before = dumps(snapshot_tracker(session.tracker))
         del manager, registry
 
-        manager2, _, _ = durable_registry(tmp_path)
+        manager2, registry2, _ = durable_registry(tmp_path)
         # Only the two post-checkpoint observes replayed.
         assert manager2.stats()["replayed_records"] == 2
-        recovered = manager2.recovery.live["a"]
+        recovered = registry2.get("a")
         assert dumps(snapshot_tracker(recovered.tracker)) == before
 
     def test_evicted_sessions_survive_restart_cold(self, tmp_path):
@@ -233,19 +237,70 @@ class TestCrashRecovery:
             open_and_drive(manager, registry, f"s{index}", batches)
         del manager, registry
 
-        # Restart with a smaller cap: all five are adopted through the
-        # normal admission path, and the overflow is evicted *to disk*
-        # (the hooks are installed before adoption), not destroyed.
+        # Restart with a smaller cap: the replayed opens take the normal
+        # admission path, and the overflow is evicted *to disk* (the
+        # hooks are installed before replay), not destroyed.
         manager2, registry2, installed = durable_registry(
             tmp_path, max_sessions=2
         )
-        assert installed == 5
+        assert installed == 2
         assert len(registry2) == 2
         assert manager2.cold_sessions == 3
         assert registry2.stats()["evicted_saved"] == 3
         # Every one of the five is still reachable.
         for index in range(5):
             assert registry2.get(f"s{index}") is not None
+
+    def test_recovery_never_grows_the_pool_past_the_cap(self, tmp_path):
+        """Five journaled default-config sessions (no checkpoints)
+        recovered into a cap of two: the pool keeps two slots, two
+        sessions come back live and three cold, and every one of them
+        matches a scalar tracker fed the same stream."""
+        manager, registry, _ = durable_registry(tmp_path, max_sessions=8)
+        references = {}
+        for index in range(5):
+            batches = branch_batches(seed=30 + index, batches=3)
+            open_and_drive(manager, registry, f"s{index}", batches)
+            reference = PhaseTracker(
+                interval_instructions=INTERVAL_INSTRUCTIONS
+            )
+            for pcs, counts in batches:
+                reference.observe_batch(pcs, counts, cpi=1.1)
+            references[f"s{index}"] = dumps(snapshot_tracker(reference))
+        del manager, registry  # kill -9
+
+        manager2, registry2, installed = durable_registry(
+            tmp_path, max_sessions=2
+        )
+        assert installed == 2
+        assert registry2.pool.capacity == 2
+        assert manager2.cold_sessions == 3
+        assert manager2.stats()["recovered_live"] == 2
+        for name, expected in references.items():
+            tracker = registry2.get(name).tracker
+            assert dumps(snapshot_tracker(tracker)) == expected
+        assert registry2.pool.capacity == 2
+
+    def test_recovery_respects_a_no_evict_cap(self, tmp_path):
+        """Replayed opens count as opens, and with LRU eviction off a
+        tail needing more live sessions than the cap is refused the
+        way an open would be."""
+        manager, registry, _ = durable_registry(tmp_path)
+        batches = branch_batches(seed=31, batches=1)
+        open_and_drive(manager, registry, "a", batches)
+        open_and_drive(manager, registry, "b", batches)
+        del manager, registry
+
+        manager2 = PersistenceManager(tmp_path / "data")
+        registry2 = SessionRegistry(max_sessions=2, evict_lru=False)
+        assert manager2.install_into(registry2) == 2
+        assert registry2.stats()["opened"] == 2
+        manager2.close()
+        with PersistenceManager(tmp_path / "data") as manager3:
+            with pytest.raises(ServiceOverloadedError):
+                manager3.install_into(
+                    SessionRegistry(max_sessions=1, evict_lru=False)
+                )
 
     def test_closed_sessions_stay_closed_after_restart(self, tmp_path):
         manager, registry, _ = durable_registry(tmp_path)
@@ -427,11 +482,12 @@ class TestOneRestorePath:
         manager2, registry2, installed = durable_registry(
             tmp_path, max_sessions=3
         )
-        live = manager2.recovery.live
         assert installed == 3
-        assert live["source"].checkpoint_seq is not None
-        assert live["copy"].first_seq is not None
-        assert live["fresh"].first_seq is not None
+        # "source" hydrated from its checkpoint for its tail; "copy"
+        # replayed its snapshot open, "fresh" a fresh open.
+        assert registry2.stats()["hydrated"] == 1
+        assert registry2.get("copy").restored
+        assert not registry2.get("fresh").restored
         assert registry2.pool.active_slots == 3
         for name, expected in before.items():
             tracker = registry2.get(name).tracker

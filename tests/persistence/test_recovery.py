@@ -1,6 +1,7 @@
 """Crash recovery and compaction: checkpoints fast-forward, the
-journal tail replays byte-identically, damage demotes instead of
-raising, and compaction never deletes a segment anyone still needs."""
+journal tail replays byte-identically through the registry, damage
+demotes instead of raising, and compaction never deletes a segment
+anyone still needs."""
 
 import numpy as np
 
@@ -8,9 +9,9 @@ from repro.core import PhaseTracker
 from repro.persistence import (
     CheckpointStore,
     Journal,
+    PersistenceManager,
     compact_journal,
     list_segments,
-    recover_state,
     replay_journal,
 )
 from repro.persistence.journal import segment_first_seq
@@ -53,6 +54,15 @@ def stores(tmp_path):
     return tmp_path / "journal", CheckpointStore(tmp_path / "checkpoints")
 
 
+def recover(tmp_path, **registry_kwargs):
+    """Crash-recover ``tmp_path`` (the layout :func:`stores` writes)
+    into a fresh registry; returns the manager and the registry."""
+    manager = PersistenceManager(tmp_path)
+    registry = SessionRegistry(**registry_kwargs)
+    manager.install_into(registry)
+    return manager, registry
+
+
 class TestReplay:
     def test_open_plus_observes_rebuild_the_tracker(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -66,10 +76,10 @@ class TestReplay:
                 reference.observe_batch(pcs, counts, cpi=1.1)
                 journal.append(observe_record("a", pcs, counts))
 
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert list(result.live) == ["a"]
-        assert result.cold == {} and result.closed == []
-        recovered = result.live["a"]
+        manager, registry = recover(tmp_path)
+        assert registry.names() == ["a"]
+        assert manager.recovery.cold == {} and len(checkpoints) == 0
+        recovered = registry.get("a")
         assert recovered.branches_ingested == 5 * 200
         assert recovered.intervals_pushed == reference.intervals_observed
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
@@ -92,8 +102,9 @@ class TestReplay:
             "meta": {},
         })
 
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.live == {}
+        manager, registry = recover(tmp_path)
+        result = manager.recovery
+        assert len(registry) == 0
         assert result.cold == {"a": last}
         assert result.replayed_records == 0
         assert result.skipped_records == 1 + len(batches)
@@ -117,10 +128,11 @@ class TestReplay:
                                  "branches_ingested": 3 * 200},
                     })
 
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        recovered = result.live["a"]
-        assert recovered.checkpoint_seq is not None
-        assert result.replayed_records == 3  # only the tail
+        manager, registry = recover(tmp_path)
+        recovered = registry.get("a")
+        # The tail hydrated the checkpoint through the resolver.
+        assert registry.stats()["hydrated"] == 1
+        assert manager.recovery.replayed_records == 3  # only the tail
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
             snapshot_tracker(reference)
         )
@@ -135,9 +147,9 @@ class TestReplay:
             journal.append(observe_record("a", pcs, counts))  # seq 2
             journal.append({"kind": "close", "session": "a"})  # seq 3
 
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.live == {} and result.cold == {}
-        assert result.closed == ["a"]  # its checkpoint file lingers
+        manager, registry = recover(tmp_path)
+        assert len(registry) == 0 and manager.recovery.cold == {}
+        assert len(checkpoints) == 0  # the close deleted its checkpoint
 
     def test_close_keeps_newer_incarnations_checkpoint(self, tmp_path):
         # close -> reopen -> checkpoint -> crash before the old close
@@ -158,9 +170,9 @@ class TestReplay:
             "meta": {},
         })
 
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.closed == []
-        assert result.cold == {"a": last}
+        manager, registry = recover(tmp_path)
+        assert checkpoints.load("a")["seq"] == last
+        assert manager.recovery.cold == {"a": last}
 
     def test_orphaned_observe_is_counted_not_fatal(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -169,9 +181,10 @@ class TestReplay:
             # No open record, no checkpoint: its open was compacted
             # away and the checkpoint was lost.
             journal.append(observe_record("ghost", pcs, counts))
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.orphaned_records == 1
-        assert result.live == {} and result.damaged_sessions == 0
+        manager, registry = recover(tmp_path)
+        assert manager.recovery.orphaned_records == 1
+        assert len(registry) == 0
+        assert manager.recovery.damaged_sessions == 0
 
     def test_unappliable_record_demotes_to_checkpoint(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -188,10 +201,13 @@ class TestReplay:
                 "kind": "observe", "session": "a",
                 "pcs": "not-a-list", "counts": None, "cpi": 1.0,
             })
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.damaged_sessions == 1
+        manager, registry = recover(tmp_path)
+        assert manager.recovery.damaged_sessions == 1
         # Demoted, not dropped: the last good checkpoint still serves.
-        assert result.cold == {"a": 1}
+        assert manager.recovery.cold == {"a": 1}
+        assert dumps(snapshot_tracker(registry.get("a").tracker)) == dumps(
+            snapshot_tracker(tracker)
+        )
 
     def test_unappliable_record_without_checkpoint_drops(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -201,9 +217,9 @@ class TestReplay:
                 "kind": "observe", "session": "a",
                 "pcs": "junk", "counts": "junk", "cpi": 1.0,
             })
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.damaged_sessions == 1
-        assert result.live == {} and result.cold == {}
+        manager, registry = recover(tmp_path)
+        assert manager.recovery.damaged_sessions == 1
+        assert len(registry) == 0 and manager.recovery.cold == {}
 
     def test_torn_tail_recovery_keeps_the_prefix(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -222,9 +238,9 @@ class TestReplay:
         with open(segment, "rb+") as handle:
             handle.truncate(segment.stat().st_size - 5)
 
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.journal.torn_tails == 1
-        recovered = result.live["a"]
+        manager, registry = recover(tmp_path)
+        assert manager.recovery.journal.torn_tails == 1
+        recovered = registry.get("a")
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
             snapshot_tracker(reference)
         )
@@ -244,9 +260,10 @@ class TestReplay:
             "snapshot": snapshot_tracker(tracker),
             "meta": {},
         })
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.cold == {"a": 9}
-        assert result.next_seq == 10
+        manager, registry = recover(tmp_path)
+        assert manager.recovery.cold == {"a": 9}
+        assert manager.recovery.next_seq == 10
+        assert manager.log_open("b") == 10
 
     def test_open_with_missing_checkpointed_snapshot_is_damage(
         self, tmp_path
@@ -259,17 +276,17 @@ class TestReplay:
             journal.append(
                 dict(open_record("a"), snapshot_ref="checkpoint")
             )
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.damaged_sessions == 1
-        assert result.live == {} and result.cold == {}
+        manager, registry = recover(tmp_path)
+        assert manager.recovery.damaged_sessions == 1
+        assert len(registry) == 0 and manager.recovery.cold == {}
 
     def test_unknown_record_kind_is_orphaned(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
         with Journal(journal_root) as journal:
             journal.append({"kind": "vacuum", "session": "a"})
             journal.append({"kind": "open"})  # no session name
-        result = recover_state(journal_root, checkpoints, SessionRegistry())
-        assert result.orphaned_records == 2
+        manager, registry = recover(tmp_path)
+        assert manager.recovery.orphaned_records == 2
 
 
 class TestCompaction:

@@ -1,14 +1,17 @@
 """Property: a checkpoint plus journal-tail replay reconstructs a
 tracker byte-identical to one that was never evicted or crashed, for
 arbitrary classifier configurations, branch streams, checkpoint
-positions, and batch boundaries (hypothesis)."""
+positions, batch boundaries, session schedules and recovery caps
+(hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core import ClassifierConfig, PhaseTracker
-from repro.persistence import CheckpointStore, Journal, recover_state
+from repro.errors import SessionNotFoundError
+from repro.persistence import CheckpointStore, Journal, PersistenceManager
 from repro.service.session import SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
 
@@ -39,6 +42,14 @@ def branch_stream(seed):
 def batched(pcs, counts, batch_size):
     for start in range(0, len(pcs), batch_size):
         yield pcs[start:start + batch_size], counts[start:start + batch_size]
+
+
+def recover(root, max_sessions=64):
+    """Crash-recover ``root`` into a fresh registry."""
+    manager = PersistenceManager(root)
+    registry = SessionRegistry(max_sessions=max_sessions)
+    manager.install_into(registry)
+    return manager, registry
 
 
 @given(
@@ -94,7 +105,8 @@ def test_checkpoint_plus_tail_replay_is_byte_identical(
                     "meta": {},
                 })
 
-    result = recover_state(root / "journal", checkpoints, SessionRegistry())
+    manager, registry = recover(root)
+    result = manager.recovery
     assert result.damaged_sessions == 0
     assert result.orphaned_records == 0
     if checkpoint_after == len(batches) and checkpoint_after > 0:
@@ -105,8 +117,9 @@ def test_checkpoint_plus_tail_replay_is_byte_identical(
 
         recovered = restore_tracker(checkpoints.load("s")["snapshot"])
     else:
-        assert list(result.live) == ["s"]
-        recovered = result.live["s"].tracker
+        assert registry.names() == ["s"]
+        recovered = registry.get("s").tracker
+    manager.close()
 
     assert dumps(snapshot_tracker(recovered)) == dumps(
         snapshot_tracker(reference)
@@ -145,19 +158,118 @@ def test_torn_tail_recovers_a_valid_prefix(
     with open(segment, "rb+") as handle:
         handle.truncate(max(0, segment.stat().st_size - cut_bytes))
 
-    checkpoints = CheckpointStore(root / "checkpoints")
-    result = recover_state(root / "journal", checkpoints, SessionRegistry())
+    manager, registry = recover(root)
+    manager.close()
+    result = manager.recovery
     assert result.damaged_sessions == 0
-    surviving = result.replayed_records - (1 if result.live else 0)
+    surviving = result.replayed_records - (1 if len(registry) else 0)
 
     prefix = PhaseTracker(interval_instructions=INTERVAL_INSTRUCTIONS)
     for batch_pcs, batch_counts in batches[:surviving]:
         prefix.observe_batch(batch_pcs, batch_counts, cpi=1.0)
-    if result.live:
-        assert dumps(snapshot_tracker(result.live["s"].tracker)) == dumps(
+    if len(registry):
+        assert dumps(snapshot_tracker(registry.get("s").tracker)) == dumps(
             snapshot_tracker(prefix)
         )
     else:
         # Even the open record was torn off: nothing to recover is a
         # valid (empty) prefix.
         assert surviving <= 0
+
+
+NAMES = ["s0", "s1", "s2", "s3", "s4"]
+#: A configuration the registry's pool cannot host: a scalar tracker.
+FOREIGN = {"num_counters": 16, "table_entries": 16}
+
+#: Opens and observes dominate, so a crash usually leaves more live
+#: sessions with a journal tail than a smaller recovery cap holds.
+KINDS = ["open"] * 3 + ["observe"] * 5 + ["close", "checkpoint"]
+
+
+@st.composite
+def schedule_ops(draw):
+    """One schedule step: ``(kind, name, argument)``."""
+    kind = draw(st.sampled_from(KINDS))
+    name = draw(st.sampled_from(NAMES))
+    if kind == "open":
+        # Foreign config (a scalar tracker) one open in four.
+        return kind, name, draw(st.sampled_from([False] * 3 + [True]))
+    if kind == "observe":
+        return kind, name, draw(st.integers(min_value=0, max_value=2**16))
+    return kind, name, None
+
+
+@seed(20261018)
+@settings(max_examples=15, deadline=None)
+@given(
+    cap=st.integers(min_value=1, max_value=4),
+    schedule=st.lists(schedule_ops(), min_size=8, max_size=30),
+    data=st.data(),
+)
+def test_recovery_at_any_cap_matches_the_oracle(
+    tmp_path_factory, cap, schedule, data
+):
+    """Drive a random schedule of opens (default and foreign configs),
+    observes, closes, checkpoint sweeps and cap-driven evictions the way
+    the server does, crash, and recover at a cap no larger than the
+    original: every surviving session matches a scalar tracker fed the
+    same stream byte for byte, closed names stay closed, and the pool
+    never grows past the recovery cap."""
+    root = tmp_path_factory.mktemp("schedule")
+    manager, registry = recover(root, max_sessions=cap)
+    oracles = {}
+    closed = set()
+    for kind, name, argument in schedule:
+        if kind == "open":
+            if name in registry or name in manager.cold_names():
+                continue
+            config = FOREIGN if argument else None
+            registry.open(
+                name, config=config,
+                interval_instructions=INTERVAL_INSTRUCTIONS,
+            )
+            manager.log_open(
+                name, config=config,
+                interval_instructions=INTERVAL_INSTRUCTIONS,
+            )
+            oracles[name] = PhaseTracker(
+                ClassifierConfig(**config) if config else None,
+                interval_instructions=INTERVAL_INSTRUCTIONS,
+            )
+            closed.discard(name)
+        elif kind == "observe":
+            if name not in oracles:
+                continue
+            pcs, counts = branch_stream(argument)
+            pcs, counts = pcs[:150], counts[:150]
+            session = registry.get(name)
+            reports = session.tracker.observe_batch(pcs, counts, cpi=1.2)
+            session.intervals_pushed += len(reports)
+            session.branches_ingested += len(pcs)
+            manager.log_observe(name, pcs, counts, cpi=1.2)
+            oracles[name].observe_batch(pcs, counts, cpi=1.2)
+        elif kind == "close":
+            if name not in oracles:
+                continue
+            registry.close(name)
+            manager.log_close(name)
+            del oracles[name]
+            closed.add(name)
+        else:
+            manager.checkpoint_all(registry.sessions())
+    del manager, registry  # kill -9: no final checkpoint, no close
+
+    recovery_cap = data.draw(st.integers(min_value=1, max_value=cap))
+    manager, registry = recover(root, max_sessions=recovery_cap)
+    assert manager.recovery.damaged_sessions == 0
+    assert registry.pool.capacity <= recovery_cap
+    for name, oracle in oracles.items():
+        tracker = registry.get(name).tracker
+        assert dumps(snapshot_tracker(tracker)) == dumps(
+            snapshot_tracker(oracle)
+        )
+        assert registry.pool.capacity <= recovery_cap
+    for name in closed:
+        with pytest.raises(SessionNotFoundError):
+            registry.get(name)
+    manager.close()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import PhaseTracker
+from repro.errors import ProtocolError
 from repro.service import PhaseServiceClient, start_in_thread
 from repro.service.server import PhaseService
 
@@ -121,6 +122,16 @@ class TestRequestHandling:
         raw.send({"op": "open", "id": 3, "session": "dup"})
         assert raw.read_message()["error"]["code"] == "session_exists"
         raw.close()
+
+    def test_bad_open_config_is_a_protocol_error(self, service):
+        """A config override the classifier refuses is the request's
+        fault: wire code ``protocol``, not ``internal``."""
+        with PhaseServiceClient(port=service.port) as client:
+            for config in ({"num_counters": 3}, {"bogus": 1}):
+                with pytest.raises(ProtocolError):
+                    client.open_session("bad", config=config)
+            # Nothing was admitted under the name.
+            assert client.open_session("bad") == "bad"
 
     def test_overloaded_when_eviction_disabled(self):
         handle = start_in_thread(max_sessions=1, evict_lru=False)

@@ -189,8 +189,7 @@ class TestTelemetry:
         assert stats == {"live": 0, "opened": 3, "closed": 1,
                          "evicted": 1, "expired": 1,
                          "evicted_saved": 0, "evicted_lost": 0,
-                         "evicted_recycled": 2, "hydrated": 0,
-                         "adopted": 0}
+                         "evicted_recycled": 2, "hydrated": 0}
 
 
 class TestReclamationHooks:
@@ -371,14 +370,3 @@ class TestReclamationHooks:
         # Auto-naming skips reserved names instead of colliding.
         assert registry.open().name == "session-2"
 
-    def test_adopt_counts_separately_and_respects_cap(self):
-        from repro.service.session import Session
-
-        registry = SessionRegistry(max_sessions=1, evict_lru=False)
-        registry.adopt(Session("a", PhaseTracker(), 0.0))
-        assert registry.stats()["adopted"] == 1
-        assert registry.stats()["opened"] == 0
-        with pytest.raises(SessionExistsError):
-            registry.adopt(Session("a", PhaseTracker(), 0.0))
-        with pytest.raises(ServiceOverloadedError):
-            registry.adopt(Session("b", PhaseTracker(), 0.0))

@@ -106,18 +106,35 @@ def test_rejected_snapshot_open_evicts_nothing():
     assert registry.pool.active_slots == 2
 
 
-def test_adopt_keeps_foreign_config_scalar():
-    registry = SessionRegistry()
+def test_recovery_keeps_foreign_config_scalar(tmp_path):
+    """Crash recovery replays a foreign-config open onto a scalar
+    tracker, never a pool slot, holding the state the journal drove."""
+    from repro.persistence import PersistenceManager
+    from repro.service.snapshot import dumps
+
+    manager = PersistenceManager(tmp_path)
+    manager.install_into(SessionRegistry())
+    expected = {}
     for config in (
         ClassifierConfig.paper_baseline(),
         ClassifierConfig(table_entries=None),
     ):
-        scalar = driven_scalar(config)
-        session = registry.adopt(Session(
-            f"f{config.table_entries}", scalar, 0.0, restored=True
-        ))
-        assert session.tracker is scalar
+        name = f"f{config.table_entries}"
+        manager.log_open(
+            name, config=asdict(config), interval_instructions=1_000
+        )
+        manager.log_observe(
+            name, [0x400 + 4 * i for i in range(40)], [60] * 40
+        )
+        expected[name] = dumps(snapshot_tracker(driven_scalar(config)))
+    del manager  # kill -9
+
+    registry = SessionRegistry()
+    PersistenceManager(tmp_path).install_into(registry)
+    for name, document in expected.items():
+        session = registry.get(name)
         assert registry.pool_slot(session) is None
+        assert dumps(snapshot_tracker(session.tracker)) == document
     assert registry.pool.active_slots == 0
 
 
